@@ -4,6 +4,8 @@
 // measured values next to the paper's, with the ratio, so EXPERIMENTS.md
 // can be audited from the bench output alone.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -62,6 +64,58 @@ inline void place_complex_input(Rig& rig, unsigned n, unsigned base, Rng& rng) {
 inline double us(Cycle cycles) {
   return static_cast<double>(cycles) / arch::kClockHz * 1e6;
 }
+
+// --- repeated timing --------------------------------------------------------
+// One ~0.1 s sample of a host-time ratio swings by tens of percent on a
+// shared host, so a ratio gate compares medians of repeated runs.
+
+/// Median of `v` (mean of the middle pair for even sizes); 0 when empty.
+inline double median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const std::size_t m = v.size() / 2;
+  return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+}
+
+/// Median absolute deviation from the median: the spread that goes with it.
+inline double mad(const std::vector<double>& v) {
+  const double m = median(v);
+  std::vector<double> dev;
+  dev.reserve(v.size());
+  for (double x : v) dev.push_back(std::fabs(x - m));
+  return median(dev);
+}
+
+/// Host-time samples of two sides of a ratio gate.
+struct Paired {
+  std::vector<double> a, b;
+  /// median(a) / median(b): how many times faster side b is.
+  double speedup() const {
+    const double mb = median(b);
+    return mb > 0 ? median(a) / mb : 0.0;
+  }
+};
+
+/// Runs `a` and `b` `reps` times each, alternating and swapping which side
+/// goes first every round, so drift in the host's speed hits both sides
+/// alike. Each callable performs one run and returns its seconds.
+template <typename A, typename B>
+Paired time_alternating(unsigned reps, A&& a, B&& b) {
+  Paired p;
+  for (unsigned i = 0; i < reps; ++i) {
+    if (i % 2 == 0) {
+      p.a.push_back(a());
+      p.b.push_back(b());
+    } else {
+      p.b.push_back(b());
+      p.a.push_back(a());
+    }
+  }
+  return p;
+}
+
+/// Repeats per side for every engine-ratio gate.
+inline constexpr unsigned kGateReps = 5;
 
 // --- machine-readable perf records (BENCH_runtime.json) ----------------------
 // Each runtime bench appends one JSON object per measured configuration, so

@@ -9,7 +9,8 @@
 //     interpreted vs trace-cached. The trace cache must be bit-identical
 //     (outputs), exactly cycle/energy-equal, and >= 5x faster in host
 //     wall-clock -- the ceiling for every simulated cycle the fleet and
-//     stream layers can deliver.
+//     stream layers can deliver. The gate compares the medians of
+//     bench::kGateReps alternating runs per engine.
 //
 //  3. Sync-scheduled vs per-cycle lockstep replay (host metric): a cfft
 //     batch -- its split stages read the partner column's SPM rows, the
@@ -17,7 +18,8 @@
 //     with the replay tiers as compiled vs forced per-cycle lockstep
 //     (Vwr2a::set_replay_lockstep_only, the pre-sync-plan behaviour).
 //     Identity must hold and block-level dependence analysis must be
-//     >= 1.5x faster in host wall-clock.
+//     >= 1.5x faster in host wall-clock (medians of bench::kGateReps
+//     alternating runs per tier).
 //
 // All experiments append machine-readable records to BENCH_runtime.json
 // (host wall-clock, simulated cycles per host second, makespan) for the
@@ -122,16 +124,30 @@ int main() {
 
   // ---- experiment 2: trace-cache speedup on one device ---------------------
   bench::header("Trace cache vs interpreter (1 device, same batch)");
-  const Run interp = run_fleet(1, cgra::ExecMode::kInterpret);
-  const Run traced = run_fleet(1, cgra::ExecMode::kTraceCache);
-  auto row = [](const char* name, const Run& r) {
-    std::printf("  %-12s | %12llu cyc | %8.1f ms | %10.0f sim-cyc/s\n", name,
-                static_cast<unsigned long long>(r.stats.fleet_makespan),
-                r.wall_s * 1e3,
+  Run interp, traced;
+  const bench::Paired engines = bench::time_alternating(
+      bench::kGateReps,
+      [&] {
+        interp = run_fleet(1, cgra::ExecMode::kInterpret);
+        return interp.wall_s;
+      },
+      [&] {
+        traced = run_fleet(1, cgra::ExecMode::kTraceCache);
+        return traced.wall_s;
+      });
+  // Report each engine's median run; the last run carries its results.
+  interp.wall_s = bench::median(engines.a);
+  traced.wall_s = bench::median(engines.b);
+  auto row = [](const char* name, const Run& r,
+                const std::vector<double>& samples) {
+    std::printf("  %-12s | %12llu cyc | %8.1f ms (MAD %.1f) | %10.0f "
+                "sim-cyc/s\n",
+                name, static_cast<unsigned long long>(r.stats.fleet_makespan),
+                r.wall_s * 1e3, bench::mad(samples) * 1e3,
                 static_cast<double>(r.stats.fleet_makespan) / r.wall_s);
   };
-  row("interpret", interp);
-  row("trace-cache", traced);
+  row("interpret", interp, engines.a);
+  row("trace-cache", traced, engines.b);
 
   const bool identical = interp.output_hash == traced.output_hash &&
                          interp.stats.fleet_makespan ==
@@ -139,11 +155,12 @@ int main() {
                          interp.job_cycles == traced.job_cycles &&
                          interp.sys_pj_total == traced.sys_pj_total &&
                          interp.stats.total_pj == traced.stats.total_pj;
-  const double speedup = traced.wall_s > 0 ? interp.wall_s / traced.wall_s : 0.0;
+  const double speedup = engines.speedup();
   std::printf("\n  identity: %s (outputs, cycles, energy)\n",
               identical ? "bit-exact" : "MISMATCH");
-  std::printf("  trace-cache host speedup: %.2fx (%s 5x target)\n", speedup,
-              speedup >= 5.0 ? "meets" : "MISSES");
+  std::printf("  trace-cache host speedup: %.2fx, median of %u runs each "
+              "(%s 5x target)\n",
+              speedup, bench::kGateReps, speedup >= 5.0 ? "meets" : "MISSES");
   for (const Run* r : {&interp, &traced}) {
     bench::JsonRecord("runtime_throughput")
         .field("config", std::string("exec_mode_1dev"))
@@ -153,6 +170,7 @@ int main() {
         .field("makespan_cycles",
                static_cast<std::uint64_t>(r->stats.fleet_makespan))
         .field("wall_seconds", r->wall_s)
+        .field("reps", static_cast<std::uint64_t>(bench::kGateReps))
         .field("sim_cycles_per_host_second",
                static_cast<double>(r->stats.fleet_makespan) / r->wall_s)
         .field("bit_identical", identical)
@@ -191,8 +209,19 @@ int main() {
     return r;
   };
   const Run fft_interp = run_device(cgra::ExecMode::kInterpret, false);
-  const Run fft_sched = run_device(cgra::ExecMode::kTraceCache, false);
-  const Run fft_lock = run_device(cgra::ExecMode::kTraceCache, true);
+  Run fft_sched, fft_lock;
+  const bench::Paired tiers = bench::time_alternating(
+      bench::kGateReps,
+      [&] {
+        fft_lock = run_device(cgra::ExecMode::kTraceCache, true);
+        return fft_lock.wall_s;
+      },
+      [&] {
+        fft_sched = run_device(cgra::ExecMode::kTraceCache, false);
+        return fft_sched.wall_s;
+      });
+  fft_lock.wall_s = bench::median(tiers.a);
+  fft_sched.wall_s = bench::median(tiers.b);
   auto tier_row = [](const char* name, const Run& r) {
     std::printf("  %-12s | %8.1f ms | dec %10llu lock %10llu interp %10llu | "
                 "sync %llu\n",
@@ -212,12 +241,13 @@ int main() {
       fft_sched.job_cycles == fft_lock.job_cycles &&
       fft_interp.sys_pj_total == fft_sched.sys_pj_total &&
       fft_sched.sys_pj_total == fft_lock.sys_pj_total;
-  const double lockstep_speedup =
-      fft_sched.wall_s > 0 ? fft_lock.wall_s / fft_sched.wall_s : 0.0;
+  const double lockstep_speedup = tiers.speedup();
   std::printf("\n  identity: %s (outputs, cycles, energy; 3 engines)\n",
               fft_identical ? "bit-exact" : "MISMATCH");
-  std::printf("  scheduled-over-lockstep speedup: %.2fx (%s 1.5x target)\n",
-              lockstep_speedup, lockstep_speedup >= 1.5 ? "meets" : "MISSES");
+  std::printf("  scheduled-over-lockstep speedup: %.2fx, median of %u runs "
+              "each (%s 1.5x target)\n",
+              lockstep_speedup, bench::kGateReps,
+              lockstep_speedup >= 1.5 ? "meets" : "MISSES");
   bench::JsonRecord("runtime_throughput")
       .field("config", std::string("decoupled_lockstep"))
       .field("jobs", static_cast<std::uint64_t>(kFftJobs))
@@ -225,6 +255,7 @@ int main() {
       .field("wall_seconds_scheduled", fft_sched.wall_s)
       .field("wall_seconds_lockstep", fft_lock.wall_s)
       .field("wall_seconds_interpret", fft_interp.wall_s)
+      .field("reps", static_cast<std::uint64_t>(bench::kGateReps))
       .field("replay_decoupled_cycles", fft_sched.replay.decoupled_cycles)
       .field("replay_lockstep_cycles", fft_sched.replay.lockstep_cycles)
       .field("replay_interpreted_cycles", fft_sched.replay.interpreted_cycles)

@@ -83,13 +83,16 @@ inline std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
   constexpr std::uint64_t kPrime = 1099511628211ull;
   std::uint64_t lane[8];
   for (unsigned l = 0; l < 8; ++l) lane[l] = kBasis + l;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
+  const std::size_t body = n & ~std::size_t{7};
+  for (std::size_t i = 0; i < body; i += 8) {
     for (unsigned l = 0; l < 8; ++l) {
       lane[l] = (lane[l] ^ data[i + l]) * kPrime;
     }
   }
-  for (unsigned l = 0; i < n; ++i, ++l) lane[l] = (lane[l] ^ data[i]) * kPrime;
+  // The tail is n % 8 < 8 bytes, one per lane.
+  for (unsigned l = 0; l < (n & 7u); ++l) {
+    lane[l] = (lane[l] ^ data[body + l]) * kPrime;
+  }
   std::uint64_t h = kBasis;
   for (unsigned l = 0; l < 8; ++l) {
     for (unsigned b = 0; b < 8; ++b) {

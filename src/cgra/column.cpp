@@ -410,709 +410,4 @@ void Column::step(const RcOutputs* cross) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Trace-cache replay (see cgra/tracecache.hpp for the compilation model and
-// the identity contract). Everything below must mirror step() bit for bit;
-// the hazard checks and per-event meter adds are gone because the compiler
-// proved the schedule and pre-aggregated the events per block.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Precomputed shuffle permutations: replay resolves the per-word source
-/// switch of shuffle_eval() once per mode instead of once per word.
-struct ShuffleTables {
-  // [mode][i] = source index into the A:B concatenation.
-  std::array<std::array<std::uint16_t, arch::kVwrWords>, 8> map{};
-  ShuffleTables() {
-    for (unsigned m = 0; m < 8; ++m) {
-      for (unsigned i = 0; i < arch::kVwrWords; ++i) {
-        map[m][i] = static_cast<std::uint16_t>(
-            shuffle_source_index(static_cast<isa::ShufMode>(m), i));
-      }
-    }
-  }
-};
-
-const ShuffleTables& shuffle_tables() {
-  static const ShuffleTables t;
-  return t;
-}
-
-/// Four-lane ALU evaluation with the opcode switch hoisted out of the lane
-/// loop. Per-lane semantics are exactly alu_eval() (alu.cpp); the
-/// differential trace fuzz pins the two implementations to each other.
-inline void alu_eval4(isa::RcOp op, const Word* a, const Word* b, Word* o) {
-  using isa::RcOp;
-  constexpr unsigned kN = arch::kRcsPerColumn;
-  switch (op) {
-    case RcOp::kSadd:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<Word>(static_cast<SWord>(
-            static_cast<std::int64_t>(static_cast<SWord>(a[r])) +
-            static_cast<std::int64_t>(static_cast<SWord>(b[r]))));
-      }
-      break;
-    case RcOp::kSsub:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<Word>(static_cast<SWord>(
-            static_cast<std::int64_t>(static_cast<SWord>(a[r])) -
-            static_cast<std::int64_t>(static_cast<SWord>(b[r]))));
-      }
-      break;
-    case RcOp::kSmul:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<Word>(static_cast<SWord>(
-            (static_cast<std::int64_t>(static_cast<SWord>(a[r])) *
-             static_cast<std::int64_t>(static_cast<SWord>(b[r]))) &
-            0xFFFFFFFFll));
-      }
-      break;
-    case RcOp::kFxpMul:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<Word>(static_cast<SWord>(
-            (static_cast<std::int64_t>(static_cast<SWord>(a[r])) *
-             static_cast<std::int64_t>(static_cast<SWord>(b[r]))) >> 16));
-      }
-      break;
-    case RcOp::kSll:
-      for (unsigned r = 0; r < kN; ++r) o[r] = a[r] << (b[r] & 31u);
-      break;
-    case RcOp::kSrl:
-      for (unsigned r = 0; r < kN; ++r) o[r] = a[r] >> (b[r] & 31u);
-      break;
-    case RcOp::kSra:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<Word>(static_cast<SWord>(a[r]) >> (b[r] & 31u));
-      }
-      break;
-    case RcOp::kLand:
-      for (unsigned r = 0; r < kN; ++r) o[r] = a[r] & b[r];
-      break;
-    case RcOp::kLor:
-      for (unsigned r = 0; r < kN; ++r) o[r] = a[r] | b[r];
-      break;
-    case RcOp::kLxor:
-      for (unsigned r = 0; r < kN; ++r) o[r] = a[r] ^ b[r];
-      break;
-    case RcOp::kLnot:
-      for (unsigned r = 0; r < kN; ++r) o[r] = ~a[r];
-      break;
-    case RcOp::kMv:
-      for (unsigned r = 0; r < kN; ++r) o[r] = a[r];
-      break;
-    case RcOp::kCmpEq:
-      for (unsigned r = 0; r < kN; ++r) o[r] = a[r] == b[r] ? 1u : 0u;
-      break;
-    case RcOp::kCmpLt:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<SWord>(a[r]) < static_cast<SWord>(b[r]) ? 1u : 0u;
-      }
-      break;
-    case RcOp::kCmpLe:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<SWord>(a[r]) <= static_cast<SWord>(b[r]) ? 1u : 0u;
-      }
-      break;
-    case RcOp::kMax:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<SWord>(a[r]) >= static_cast<SWord>(b[r]) ? a[r] : b[r];
-      }
-      break;
-    case RcOp::kMin:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<SWord>(a[r]) <= static_cast<SWord>(b[r]) ? a[r] : b[r];
-      }
-      break;
-    case RcOp::kAbs:
-      for (unsigned r = 0; r < kN; ++r) o[r] = alu_eval(RcOp::kAbs, a[r], 0);
-      break;
-    default:
-      for (unsigned r = 0; r < kN; ++r) o[r] = alu_eval(op, a[r], b[r]);
-      break;
-  }
-}
-
-} // namespace
-
-void Column::save_state(Checkpoint& ck) const {
-  for (unsigned v = 0; v < arch::kVwrsPerColumn; ++v) {
-    ck.vwr[v] = vwrs_[v].trace_row();
-  }
-  for (unsigned i = 0; i < arch::kSrfEntries; ++i) ck.srf[i] = srf_.trace_read(i);
-  ck.rcs = rcs_;
-  ck.rc_prev = rc_prev_;
-  ck.lcu_rf = lcu_rf_;
-  ck.lsu_ptr = lsu_ptr_;
-  ck.idx = idx_;
-  ck.aux = aux_;
-  ck.pc = pc_;
-  ck.running = running_;
-  ck.executed = executed_;
-}
-
-void Column::restore_state(const Checkpoint& ck) {
-  for (unsigned v = 0; v < arch::kVwrsPerColumn; ++v) {
-    vwrs_[v].trace_row() = ck.vwr[v];
-  }
-  for (unsigned i = 0; i < arch::kSrfEntries; ++i) {
-    srf_.trace_write(i, ck.srf[i]);
-  }
-  rcs_ = ck.rcs;
-  rc_prev_ = ck.rc_prev;
-  lcu_rf_ = ck.lcu_rf;
-  lsu_ptr_ = ck.lsu_ptr;
-  idx_ = ck.idx;
-  aux_ = ck.aux;
-  pc_ = ck.pc;
-  running_ = ck.running;
-  executed_ = ck.executed;
-}
-
-inline const Word* Column::spm_trace_read_row(unsigned row) {
-  const Word* p = spm_->trace_row(row);  // range-checks like the interpreter
-  spm_rmask_[mask_tier_] |= 1ull << row;
-  return p;
-}
-
-inline void Column::spm_trace_write_row(unsigned row, const mem::Vwr::Row& v) {
-  if (undo_ != nullptr && row < arch::kSpmRows &&
-      ((undo_->saved_mask >> row) & 1u) == 0) {
-    undo_->saved_mask |= 1ull << row;
-    std::copy_n(spm_->trace_row(row), arch::kVwrWords,
-                undo_->rows[row].begin());
-    undo_->versions[row] = spm_->row_version(row);
-  }
-  spm_->trace_write_row(row, v);
-  spm_wmask_[mask_tier_] |= 1ull << row;
-}
-
-inline Word Column::spm_trace_read_word(unsigned word) {
-  const Word v = spm_->trace_read_word(word);
-  spm_rmask_[mask_tier_] |= 1ull << (word / arch::kVwrWords);
-  return v;
-}
-
-inline void Column::spm_trace_write_word(unsigned word, Word v) {
-  const unsigned row = word / arch::kVwrWords;
-  if (undo_ != nullptr && row < arch::kSpmRows &&
-      ((undo_->saved_mask >> row) & 1u) == 0) {
-    undo_->saved_mask |= 1ull << row;
-    std::copy_n(spm_->trace_row(row), arch::kVwrWords,
-                undo_->rows[row].begin());
-    undo_->versions[row] = spm_->row_version(row);
-  }
-  spm_->trace_write_word(word, v);
-  spm_wmask_[mask_tier_] |= 1ull << row;
-}
-
-inline Word Column::trace_src(const tc::Src& s) const {
-  using K = tc::Src::K;
-  switch (s.k) {
-    case K::kImm:
-      return s.imm;
-    case K::kRf:
-      return rcs_[s.rc].rf[s.idx];
-    case K::kVwr:
-      return vwrs_[s.vwr].trace_row()[s.base + idx_];
-    case K::kSrf:
-      return srf_.trace_read(s.idx);
-    case K::kPrev:
-      return rc_prev_[s.rc];
-    case K::kCross:
-      if (cross_ == nullptr) {
-        // Same fault as the interpreter; the caller rolls back and reruns
-        // interpreted so the error surfaces with the exact partial state.
-        throw SimError("RC: kRcCross operand used without a synchronized "
-                       "partner column");
-      }
-      return (*cross_)[s.rc];
-    default:
-      return 0;
-  }
-}
-
-inline unsigned Column::trace_lsu_addr(const tc::LsuUop& u) {
-  using isa::LsuAddrMode;
-  switch (u.amode) {
-    case LsuAddrMode::kImm:
-      return static_cast<unsigned>(u.imm);
-    case LsuAddrMode::kSrfImm:
-      return static_cast<unsigned>(srf_.trace_read(u.srf_base)) +
-             static_cast<unsigned>(u.imm);
-    case LsuAddrMode::kPtr0Post: {
-      const unsigned a = lsu_ptr_[0];
-      lsu_ptr_[0] = static_cast<std::uint32_t>(
-          static_cast<std::int64_t>(lsu_ptr_[0]) + u.imm);
-      return a;
-    }
-    default: {  // kPtr1Post (compiler rejects anything else)
-      const unsigned a = lsu_ptr_[1];
-      lsu_ptr_[1] = static_cast<std::uint32_t>(
-          static_cast<std::int64_t>(lsu_ptr_[1]) + u.imm);
-      return a;
-    }
-  }
-}
-
-inline void Column::quad_load(const tc::Src& s, Word* v) const {
-  using K = tc::Src::K;
-  switch (s.k) {
-    case K::kImm:
-      v[0] = v[1] = v[2] = v[3] = s.imm;
-      break;
-    case K::kRf:
-      for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-        v[r] = rcs_[r].rf[s.idx];
-      }
-      break;
-    case K::kVwr: {
-      const Word* row = vwrs_[s.vwr].trace_row().data() + idx_;
-      for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-        v[r] = row[r * arch::kSliceWords];
-      }
-      break;
-    }
-    case K::kSrf: {
-      const Word x = srf_.trace_read(s.idx);
-      v[0] = v[1] = v[2] = v[3] = x;
-      break;
-    }
-    default:
-      v[0] = v[1] = v[2] = v[3] = 0;
-      break;
-  }
-}
-
-/// All four RCs share one shape; the source/dest dispatch and the ALU
-/// opcode switch are hoisted out of the lane loop (the rc_all() idiom of
-/// every kernel inner loop).
-inline void Column::exec_quad_rcs(const tc::Line& L) {
-  const tc::RcUop& q = L.rc[0];
-  Word av[arch::kRcsPerColumn];
-  Word bv[arch::kRcsPerColumn];
-  quad_load(q.a, av);
-  if (q.unary) {
-    bv[0] = bv[1] = bv[2] = bv[3] = 0;
-  } else {
-    quad_load(q.b, bv);
-  }
-  Word outs[arch::kRcsPerColumn];
-  alu_eval4(q.op, av, bv, outs);
-  switch (q.d) {
-    case tc::Dst::kRf:
-      for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-        rcs_[r].rf[q.idx] = outs[r];
-      }
-      break;
-    case tc::Dst::kVwr: {
-      Word* row = vwrs_[q.vwr].trace_row().data() + idx_;
-      for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-        row[r * arch::kSliceWords] = outs[r];
-      }
-      break;
-    }
-    default:
-      break;  // kNone (kSrf never compiles as a quad)
-  }
-  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) rc_prev_[r] = outs[r];
-}
-
-/// The inner-loop fast path: a quad RC op plus at most a register-only
-/// MXCU index update. No LSU, no LCU, no SRF traffic outside the quad.
-void Column::exec_quad_fast(const tc::Line& L) {
-  exec_quad_rcs(L);
-  if (L.has_mxcu) {
-    using isa::MxcuOp;
-    unsigned new_idx = idx_;
-    switch (L.mxcu.op) {
-      case MxcuOp::kSetIdx:
-        new_idx = static_cast<unsigned>(L.mxcu.imm);
-        break;
-      case MxcuOp::kAddIdx:
-        new_idx = static_cast<unsigned>(static_cast<SWord>(idx_) + L.mxcu.imm);
-        break;
-      case MxcuOp::kSetAux:
-        aux_ = L.mxcu.imm;
-        break;
-      case MxcuOp::kAddAux:
-        aux_ += L.mxcu.imm;
-        break;
-      case MxcuOp::kIdxFromAux:
-        new_idx = static_cast<unsigned>(aux_);
-        break;
-      default:
-        break;
-    }
-    idx_ = new_idx % arch::kSliceWords;
-  }
-}
-
-void Column::exec_traced_line(const tc::Line& L) {
-  using isa::LsuOp;
-  using isa::MxcuOp;
-  using isa::LcuOp;
-
-  // ---- LSU: SPM side effects happen in the evaluate phase (they read the
-  // pre-commit VWR/SRF state); VWR row writes commit after the RCs.
-  int pend_row_vwr = -1;
-  const Word* pend_row_src = nullptr;
-  int pend_srf_idx = -1;
-  Word pend_srf_val = 0;
-  if (L.has_lsu) {
-    const tc::LsuUop& u = L.lsu;
-    switch (u.op) {
-      case LsuOp::kLdVwr:
-        pend_row_src = spm_trace_read_row(trace_lsu_addr(u));
-        pend_row_vwr = u.vwr;
-        break;
-      case LsuOp::kStVwr: {
-        const unsigned row = trace_lsu_addr(u);
-        spm_trace_write_row(row, vwrs_[u.vwr].trace_row());
-        break;
-      }
-      case LsuOp::kLdSrf:
-        pend_srf_val = spm_trace_read_word(trace_lsu_addr(u));
-        pend_srf_idx = u.srf_data;
-        break;
-      case LsuOp::kStSrf: {
-        const unsigned word = trace_lsu_addr(u);
-        spm_trace_write_word(word, srf_.trace_read(u.srf_data));
-        break;
-      }
-      case LsuOp::kShuf: {
-        const auto& map = shuffle_tables().map[static_cast<unsigned>(u.mode)];
-        const Word* a = vwrs_[0].trace_row().data();
-        const Word* b = vwrs_[1].trace_row().data();
-        for (unsigned i = 0; i < arch::kVwrWords; ++i) {
-          const unsigned s = map[i];
-          shuf_scratch_[i] =
-              s < arch::kVwrWords ? a[s] : b[s - arch::kVwrWords];
-        }
-        pend_row_src = shuf_scratch_.data();
-        pend_row_vwr = static_cast<int>(VwrSel::C);
-        break;
-      }
-      case LsuOp::kSetPtr: {
-        const unsigned p = static_cast<unsigned>(u.vwr) & 1u;
-        lsu_ptr_[p] = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(srf_.trace_read(u.srf_base)) + u.imm);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  // ---- MXCU: evaluate against pre-cycle state, commit at the end.
-  unsigned new_idx = idx_;
-  SWord new_aux = aux_;
-  int pend_mx_srf = -1;
-  if (L.has_mxcu) {
-    const tc::MxcuUop& u = L.mxcu;
-    switch (u.op) {
-      case MxcuOp::kSetIdx:
-        new_idx = static_cast<unsigned>(u.imm);
-        break;
-      case MxcuOp::kAddIdx:
-        new_idx = static_cast<unsigned>(static_cast<SWord>(idx_) + u.imm);
-        break;
-      case MxcuOp::kSetIdxSrf:
-        new_idx = srf_.trace_read(u.srf);
-        break;
-      case MxcuOp::kAddIdxSrf:
-        new_idx = idx_ + srf_.trace_read(u.srf);
-        break;
-      case MxcuOp::kAndIdxSrf:
-        new_idx = idx_ & srf_.trace_read(u.srf);
-        break;
-      case MxcuOp::kSetAux:
-        new_aux = u.imm;
-        break;
-      case MxcuOp::kAddAux:
-        new_aux = aux_ + u.imm;
-        break;
-      case MxcuOp::kIdxFromAux:
-        new_idx = static_cast<unsigned>(aux_);
-        break;
-      case MxcuOp::kStIdxSrf:
-        pend_mx_srf = u.srf;
-        break;
-      default:
-        break;
-    }
-    new_idx %= arch::kSliceWords;
-  }
-
-  // ---- LCU register op (control ops live in the block terminator).
-  int pend_lcu_rd = -1;
-  Word pend_lcu_val = 0;
-  int pend_lcu_srf = -1;
-  Word pend_lcu_srf_val = 0;
-  if (L.has_lcu) {
-    const tc::LcuUop& u = L.lcu;
-    switch (u.op) {
-      case LcuOp::kSetI:
-        pend_lcu_rd = u.rd;
-        pend_lcu_val = static_cast<Word>(static_cast<SWord>(u.imm));
-        break;
-      case LcuOp::kAddI:
-        pend_lcu_rd = u.rd;
-        pend_lcu_val =
-            static_cast<Word>(static_cast<SWord>(lcu_rf_[u.rd]) + u.imm);
-        break;
-      case LcuOp::kMvR:
-        pend_lcu_rd = u.rd;
-        pend_lcu_val = lcu_rf_[u.ra];
-        break;
-      case LcuOp::kAddR:
-        pend_lcu_rd = u.rd;
-        pend_lcu_val = static_cast<Word>(static_cast<SWord>(lcu_rf_[u.rd]) +
-                                         static_cast<SWord>(lcu_rf_[u.ra]));
-        break;
-      case LcuOp::kSubR:
-        pend_lcu_rd = u.rd;
-        pend_lcu_val = static_cast<Word>(static_cast<SWord>(lcu_rf_[u.rd]) -
-                                         static_cast<SWord>(lcu_rf_[u.ra]));
-        break;
-      case LcuOp::kMvSrf:
-        pend_lcu_rd = u.rd;
-        pend_lcu_val = srf_.trace_read(u.srf);
-        break;
-      case LcuOp::kStSrf:
-        pend_lcu_srf = u.srf;
-        pend_lcu_srf_val = lcu_rf_[u.ra];
-        break;
-      default:
-        break;
-    }
-  }
-
-  // ---- RCs: evaluate (pre-cycle reads), then commit.
-  if (L.quad) {
-    exec_quad_rcs(L);
-  } else if (L.rc_mask != 0) {
-    Word outs[arch::kRcsPerColumn];
-    for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-      if (((L.rc_mask >> r) & 1u) == 0) continue;
-      const tc::RcUop& u = L.rc[r];
-      const Word a = trace_src(u.a);
-      const Word b = u.unary ? 0 : trace_src(u.b);
-      outs[r] = alu_eval(u.op, a, b);
-    }
-    for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-      if (((L.rc_mask >> r) & 1u) == 0) continue;
-      const tc::RcUop& u = L.rc[r];
-      switch (u.d) {
-        case tc::Dst::kRf:
-          rcs_[r].rf[u.idx] = outs[r];
-          break;
-        case tc::Dst::kVwr:
-          vwrs_[u.vwr].trace_row()[u.base + idx_] = outs[r];
-          break;
-        case tc::Dst::kSrf:
-          srf_.trace_write(u.idx, outs[r]);
-          break;
-        default:
-          break;
-      }
-      rc_prev_[r] = outs[r];
-    }
-  }
-
-  // ---- end-of-cycle commits (interpreter order; at most one SRF write
-  // exists per line, so the relative SRF order is immaterial).
-  if (pend_row_vwr >= 0) {
-    Word* dst = vwrs_[pend_row_vwr].trace_row().data();
-    std::copy_n(pend_row_src, arch::kVwrWords, dst);
-  }
-  if (pend_srf_idx >= 0) srf_.trace_write(pend_srf_idx, pend_srf_val);
-  if (pend_mx_srf >= 0) srf_.trace_write(pend_mx_srf, idx_);
-  if (pend_lcu_srf >= 0) srf_.trace_write(pend_lcu_srf, pend_lcu_srf_val);
-  if (pend_lcu_rd >= 0) lcu_rf_[pend_lcu_rd] = pend_lcu_val;
-  idx_ = new_idx;
-  aux_ = new_aux;
-}
-
-inline unsigned Column::eval_term(const tc::Block& b, bool& exit) {
-  unsigned next = b.first + b.len;  // fallthrough
-  switch (b.term) {
-    case tc::Term::kFall:
-      break;
-    case tc::Term::kB:
-      next = b.target;
-      break;
-    case tc::Term::kCond: {
-      const SWord ra = static_cast<SWord>(lcu_rf_[b.ra]);
-      const SWord rb = static_cast<SWord>(lcu_rf_[b.rb]);
-      bool taken = false;
-      switch (b.cond) {
-        case tc::Cond::kEq: taken = ra == rb; break;
-        case tc::Cond::kNe: taken = ra != rb; break;
-        case tc::Cond::kLt: taken = ra < rb; break;
-        case tc::Cond::kGe: taken = ra >= rb; break;
-        case tc::Cond::kEqI: taken = ra == b.imm; break;
-        case tc::Cond::kNeI: taken = ra != b.imm; break;
-        case tc::Cond::kLtI: taken = ra < b.imm; break;
-        case tc::Cond::kGeI: taken = ra >= b.imm; break;
-        case tc::Cond::kSrfZ: taken = srf_.trace_read(b.srf) == 0; break;
-        case tc::Cond::kSrfNz: taken = srf_.trace_read(b.srf) != 0; break;
-      }
-      if (taken) next = b.target;
-      break;
-    }
-    case tc::Term::kDbnz: {
-      const Word nv = lcu_rf_[b.rd] - 1;
-      lcu_rf_[b.rd] = nv;
-      if (nv != 0) next = b.target;
-      break;
-    }
-    case tc::Term::kExit:
-      exit = true;
-      break;
-  }
-  return next;
-}
-
-void Column::step_traced() {
-  const CompiledTrace& T = *trace_;
-  if (tb_ == nullptr) {
-    tb_ = &T.blocks[T.block_of[pc_]];
-    tb_line_ = 0;
-  }
-  exec_dispatch(T.lines[tb_->first + tb_line_]);
-  ++executed_;
-  if (++tb_line_ < tb_->len) {
-    ++pc_;
-    return;
-  }
-  const tc::Block& b = *tb_;
-  tb_ = nullptr;
-  meter_->add_block(b.energy, 1);
-  bool exit = false;
-  const unsigned next = eval_term(b, exit);
-  if (exit) {
-    running_ = false;  // pc stays at the EXIT line, like the interpreter
-    return;
-  }
-  if (next >= T.length()) {
-    throw SimError("Column: branch past end of program");
-  }
-  pc_ = next;
-}
-
-bool Column::run_fused_quad1(const tc::Line& L, std::uint64_t iters) {
-  using K = tc::Src::K;
-  if (L.kind != tc::Line::Kind::kQuadFast) return false;
-  const tc::RcUop& q = L.rc[0];
-  if (q.d != tc::Dst::kVwr || q.a.k != K::kVwr) return false;
-  const bool b_vwr = !q.unary && q.b.k == K::kVwr;
-  if (!b_vwr && !q.unary && q.b.k != K::kImm && q.b.k != K::kSrf) {
-    return false;
-  }
-  // Only a plain index step may ride along (aux/set forms stay generic).
-  if (L.has_mxcu && L.mxcu.op != isa::MxcuOp::kAddIdx) return false;
-  if (iters == 0) return true;  // dbnz with cnt handled by the caller
-
-  // Loop-invariant routing: row bases cannot move and the SRF cannot be
-  // written by a quad-fast body, so the broadcast operand is fixed too.
-  const Word* const arow = vwrs_[q.a.vwr].trace_row().data();
-  const Word* const brow = b_vwr ? vwrs_[q.b.vwr].trace_row().data() : nullptr;
-  Word* const drow = vwrs_[q.vwr].trace_row().data();
-  constexpr unsigned S = arch::kSliceWords;
-  const std::int32_t step = L.has_mxcu ? L.mxcu.imm : 0;
-  unsigned idx = idx_;
-  Word av[arch::kRcsPerColumn];
-  Word bv[arch::kRcsPerColumn];
-  Word outs[arch::kRcsPerColumn];
-  if (!b_vwr) {
-    Word bc = 0;
-    if (!q.unary) bc = q.b.k == K::kImm ? q.b.imm : srf_.trace_read(q.b.idx);
-    bv[0] = bv[1] = bv[2] = bv[3] = bc;
-  }
-  for (std::uint64_t it = 0; it < iters; ++it) {
-    av[0] = arow[idx];
-    av[1] = arow[idx + S];
-    av[2] = arow[idx + 2 * S];
-    av[3] = arow[idx + 3 * S];
-    if (b_vwr) {
-      bv[0] = brow[idx];
-      bv[1] = brow[idx + S];
-      bv[2] = brow[idx + 2 * S];
-      bv[3] = brow[idx + 3 * S];
-    }
-    alu_eval4(q.op, av, bv, outs);
-    drow[idx] = outs[0];
-    drow[idx + S] = outs[1];
-    drow[idx + 2 * S] = outs[2];
-    drow[idx + 3 * S] = outs[3];
-    if (step != 0) {
-      idx = static_cast<unsigned>(static_cast<SWord>(idx) + step) % S;
-    }
-  }
-  // rc_prev_ is unobservable inside a quad-fast body (no kPrev operands
-  // compile into one), so only the last iteration's outputs matter.
-  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) rc_prev_[r] = outs[r];
-  idx_ = idx;
-  return true;
-}
-
-Cycle Column::step_block_traced(Cycle budget_left) {
-  const CompiledTrace& T = *trace_;
-  const tc::Line* lines = T.lines.data();
-  const tc::Block& b = T.blocks[T.block_of[pc_]];
-  unsigned next = b.first + b.len;  // fallthrough
-  Cycle n = 0;
-  if (b.fuse_self_loop) {
-    // Hardware loop: replay the whole (runtime-read) trip count fused.
-    const Word cnt = lcu_rf_[b.rd];
-    const std::uint64_t iters = cnt == 0 ? (1ull << 32) : cnt;
-    if (iters * b.len > budget_left) throw tc::ReplayBudgetExceeded{};
-    // Single-line elementwise bodies take the batched path (routing
-    // hoisted out of the trip count); everything else replays per line.
-    if (b.len != 1 || !run_fused_quad1(lines[b.first], iters)) {
-      for (std::uint64_t it = 0; it < iters; ++it) {
-        for (unsigned i = 0; i < b.len; ++i) {
-          exec_dispatch(lines[b.first + i]);
-        }
-      }
-    }
-    lcu_rf_[b.rd] = 0;  // dbnz leaves the counter at zero
-    meter_->add_block(b.energy, iters);
-    executed_ += iters * b.len;
-    n = iters * b.len;
-  } else {
-    for (unsigned i = 0; i < b.len; ++i) exec_dispatch(lines[b.first + i]);
-    meter_->add_block(b.energy, 1);
-    executed_ += b.len;
-    n = b.len;
-    bool exit = false;
-    next = eval_term(b, exit);
-    if (exit) running_ = false;
-  }
-  if (!running_) {
-    pc_ = b.first + b.len - 1;  // the interpreter leaves pc at the EXIT line
-    return n;
-  }
-  if (next >= T.length()) {
-    throw SimError("Column: branch past end of program");
-  }
-  pc_ = next;
-  return n;
-}
-
-Cycle Column::run_traced(tc::SpmUndo* undo, Cycle budget) {
-  if (!has_trace()) throw HostError("Column: run_traced without a trace");
-  begin_traced(undo);
-  Cycle n = 0;
-  while (running_) {
-    if (n > budget) throw tc::ReplayBudgetExceeded{};  // caller rolls back
-    n += step_block_traced(budget - n);
-  }
-  // Sync the per-RC result registers the replay tracked via rc_prev_.
-  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) rcs_[r].out = rc_prev_[r];
-  undo_ = nullptr;
-  return n;
-}
-
 } // namespace vwr2a::cgra

@@ -35,6 +35,8 @@
 
 namespace vwr2a::cgra {
 
+struct QuadStep;  // column_replay.cpp: a fused-loop line, routing resolved
+
 /// Per-RC architectural state.
 struct RcState {
   std::array<Word, arch::kRcRegs> rf{};  ///< R0, R1
@@ -148,19 +150,16 @@ class Column {
   /// executes one compiled line (one cycle of this column) with the same
   /// per-cycle interleaving as the interpreter, end_traced() syncs the
   /// observable state back. Bit-identical to step() for traceable programs.
-  void begin_traced(tc::SpmUndo* undo) {
-    undo_ = undo;
-    spm_rmask_[0] = spm_rmask_[1] = 0;
-    spm_wmask_[0] = spm_wmask_[1] = 0;
-    mask_tier_ = 0;
-    cross_ = nullptr;
-    tb_ = nullptr;
-  }
+  ///
+  /// Replay energy is deferred: each block execution only bumps that
+  /// block's run count, and end_traced() folds the counts into the meter
+  /// once (one add_block per executed block, times its count). A launch
+  /// that faults or rolls back never reaches end_traced() -- or has its
+  /// meter restored after it -- so its counts are dropped with it; the next
+  /// begin_traced() clears them.
+  void begin_traced(tc::SpmUndo* undo);
   void step_traced();
-  void end_traced() {
-    for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) rcs_[r].out = rc_prev_[r];
-    undo_ = nullptr;
-  }
+  void end_traced();
 
   /// Full architectural state of a column, snapshotted before a decoupled
   /// replay so a detected cross-column SPM conflict can roll back and rerun
@@ -205,20 +204,27 @@ class Column {
                    const RcOutputs* cross);
   unsigned lsu_address(const isa::LsuInstr& instr);
 
-  // --- trace replay internals (column.cpp) -----------------------------------
+  // --- trace replay internals (column_replay.cpp) ----------------------------
   void exec_traced_line(const tc::Line& L);
   void exec_quad_fast(const tc::Line& L);
   void exec_quad_rcs(const tc::Line& L);
   void quad_load(const tc::Src& s, Word* v) const;
-  /// Batched replay of a fused DBNZ self-loop whose whole body is one
-  /// elementwise quad line (VWR source, VWR/SRF/imm second operand, VWR
-  /// destination, at most a register-only index step): the operand routing,
-  /// row base pointers and broadcast values are resolved once for the whole
-  /// trip count instead of per iteration. Per-iteration load/compute/store
-  /// order is preserved exactly, so results are bit-identical even when the
-  /// destination row aliases a source. Returns false when the shape does
-  /// not apply (caller falls back to the per-line loop).
-  bool run_fused_quad1(const tc::Line& L, std::uint64_t iters);
+  /// Replays the whole trip count of a fused DBNZ self-loop. Quad lines
+  /// with at most an index step and an SRF load (the elementwise and
+  /// multiply-accumulate work of every kernel inner loop) get their operand
+  /// routing and opcode dispatch resolved once for the trip count instead
+  /// of per line; the other lines replay through exec_dispatch. The
+  /// per-line load/compute/store order is preserved wherever it is
+  /// observable, so results are bit-identical even when a destination
+  /// aliases a source.
+  void run_fused_loop(const tc::Block& b, std::uint64_t iters);
+  /// The elementwise form of run_fused_loop for an all-quad body whose
+  /// index walks +-1 once per iteration over at most one slice: every
+  /// iteration then touches its own slice word, so each line runs over all
+  /// words before the next line starts. Returns false when the body does
+  /// not qualify (a register carried across iterations, other steps).
+  bool run_fused_map(const tc::Block& b, std::uint64_t iters,
+                     QuadStep* steps);
   void exec_dispatch(const tc::Line& L) {
     L.kind == tc::Line::Kind::kQuadFast ? exec_quad_fast(L)
                                         : exec_traced_line(L);
@@ -265,6 +271,9 @@ class Column {
   mem::Vwr::Row shuf_scratch_{};     ///< pending shuffle result staging
   const tc::Block* tb_ = nullptr;    ///< lockstep replay: current block
   unsigned tb_line_ = 0;             ///< lockstep replay: line within block
+  /// Executions of each trace block since begin_traced(), folded into the
+  /// meter by end_traced().
+  std::vector<std::uint64_t> block_runs_;
 };
 
 } // namespace vwr2a::cgra

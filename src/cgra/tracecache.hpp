@@ -16,10 +16,13 @@
 //     hazard at runtime simply fail to compile and fall back to the
 //     interpreter, which raises the documented StructuralHazard;
 //   * straight-line runs between LCU control-flow decisions become
-//     superblocks whose energy events are pre-aggregated into one
-//     EnergyMeter::add_block() delta per block replay;
+//     superblocks whose energy events are pre-aggregated into one delta
+//     list; replay only counts block executions and folds count x delta
+//     into the meter once per launch;
 //   * self-loop DBNZ blocks (the hardware-loop idiom every kernel uses)
-//     additionally replay their whole trip count in one fused native loop.
+//     additionally replay their whole trip count in one fused native loop,
+//     with operand routing and opcode dispatch resolved once per trip
+//     count.
 //
 // Identity contract: a traced run must be bit-identical to the interpreted
 // run -- same outputs, same cycle counts, same energy event counts (hence

@@ -13,8 +13,8 @@ namespace vwr2a::energy {
 
 /// One entry of a pre-aggregated event block: `n` occurrences of `e`.
 /// The trace-cache compiler folds every event a micro-op block raises into
-/// a short list of these, so replaying the block costs one add_block()
-/// instead of one add() per event occurrence.
+/// a short list of these; trace replay counts block executions and adds
+/// each executed block's list once per launch with add_block().
 struct EventDelta {
   Event e = Event::kCount;
   std::uint64_t n = 0;

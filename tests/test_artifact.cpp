@@ -70,6 +70,26 @@ const std::vector<std::uint8_t>& small_artifact() {
 
 // --- format & loader ----------------------------------------------------------
 
+/// Known answers for the payload checksum over every tail length of the
+/// 8-lane interleave (0..7 bytes past each full group), so a rewrite of the
+/// loop cannot silently change the digest of existing artifacts.
+TEST(Artifact, ChecksumKnownAnswers) {
+  constexpr std::uint64_t kDigest[18] = {
+      0x1a54d5c978ab922bull, 0x91a9600fc47385d7ull, 0x8493f0ebcd9718a6ull,
+      0xd9d7f607020f8e35ull, 0x0dd08c6d1ba8a24dull, 0xf2968f52ef884634ull,
+      0x0c719acb912a5200ull, 0x6e53e4997ff25f95ull, 0xbd461167ac9848e6ull,
+      0x0bad1380bf02d5ceull, 0xe7ab7512fad628f6ull, 0x42936dfecc40a956ull,
+      0x116d4d2beebeed07ull, 0x7ef897051aad3fffull, 0x3a0b64bed6e1dcbeull,
+      0x70380034fa571c0bull, 0xbbb24392054325fdull, 0x974e6a9fba8e786aull};
+  std::uint8_t data[17];
+  for (unsigned i = 0; i < 17; ++i) {
+    data[i] = static_cast<std::uint8_t>(0xA5 ^ (i * 37u));
+  }
+  for (unsigned n = 0; n <= 17; ++n) {
+    EXPECT_EQ(artifact::fnv1a(data, n), kDigest[n]) << "length " << n;
+  }
+}
+
 TEST(Artifact, RoundTripOpensAndVerifies) {
   const std::string path = temp_path("roundtrip");
   write_file(path, small_artifact());

@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "bus/ahb.hpp"
 #include "casm/builder.hpp"
 #include "casm/factories.hpp"
+#include "cgra/alu.hpp"
 #include "cgra/tracecache.hpp"
 #include "cgra/vwr2a.hpp"
 #include "common/rng.hpp"
@@ -329,6 +331,226 @@ TEST(TraceCache, DataDependentTripCountIsIdentical) {
     expect_identical(ri, rt, "trips " + std::to_string(trips));
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+// --- fused hardware loops ----------------------------------------------------
+
+/// One fused DBNZ self-loop over `body` (the last line carries the DBNZ),
+/// entered with LCU r0 = `trips` and the slice index at `start`. The SRF
+/// entry 3 the bodies read comes from the rig seed.
+isa::ColumnProgram fused_loop_program(
+    const std::vector<isa::RcInstr>& body,
+    const std::vector<int>& steps, unsigned trips, unsigned start) {
+  ProgramBuilder pb;
+  pb.line()
+      .lcu(lcu_set(0, static_cast<int>(trips)))
+      .mxcu(mxcu_set_idx(static_cast<int>(start)))
+      .emit();
+  Label loop = pb.make_label();
+  pb.bind(loop);
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    auto line = pb.line().rc_all(body[i]);
+    if (steps[i] != 0) line.mxcu(mxcu_add_idx(steps[i]));
+    if (i + 1 == body.size()) line.lcu(lcu_dbnz(0), loop);
+    line.emit();
+  }
+  pb.line().lcu(lcu_exit()).emit();
+  return pb.build();
+}
+
+/// Runs `prog` on an interpreter rig and a trace rig seeded alike and
+/// checks full state, cycle and per-event identity. SRF entry 5 holds an
+/// in-range SPM word address for pointer-mode loads.
+void expect_fused_identical(const isa::ColumnProgram& prog,
+                            const std::string& what) {
+  Rig ri(ExecMode::kInterpret);
+  Rig rt(ExecMode::kTraceCache);
+  for (Rig* r : {&ri, &rt}) {
+    r->seed(Rng(0xF05E));
+    r->acc.column(0).srf().poke(5, 100);
+  }
+  const isa::KernelImage img = make_kernel("fused", 0, prog);
+  const Cycle ci = ri.acc.run_kernel(ri.acc.register_kernel(img));
+  const Cycle ct = rt.acc.run_kernel(rt.acc.register_kernel(img));
+  ASSERT_EQ(ci, ct) << what;
+  ASSERT_EQ(rt.acc.interpreted_cycles(), 0u) << what << ": not replayed";
+  expect_identical(ri, rt, what);
+}
+
+/// Every RC opcode as a single-line quad-fast DBNZ body: second operand
+/// from a VWR row, an immediate or the SRF (or none, for unary ops), first
+/// operand from a row or a register, results to a fresh row, to the source
+/// row itself or to a register, with index steps 0, +1 and -1. The
+/// (start, trips) pairs cover a full slice, wrap-around in both
+/// directions, more trips than slice words, and a single trip.
+TEST(TraceCacheFused, SingleLineQuadBodiesMatchInterpreter) {
+  using isa::RcDst;
+  using isa::RcOp;
+  using isa::RcSrc;
+  const std::pair<unsigned, unsigned> walks[] = {
+      {0, 32}, {29, 7}, {2, 7}, {3, 40}, {5, 1}};
+  unsigned kernels = 0;
+  for (unsigned o = 1; o < static_cast<unsigned>(RcOp::kCount); ++o) {
+    const RcOp op = static_cast<RcOp>(o);
+    const bool unary = cgra::alu_is_unary(op);
+    for (RcSrc a : {RcSrc::kVwrA, RcSrc::kR0}) {
+      for (RcSrc b : {RcSrc::kVwrC, RcSrc::kImm, RcSrc::kSrf}) {
+        if (unary && b != RcSrc::kVwrC) continue;
+        for (RcDst d : {RcDst::kVwrC, RcDst::kVwrA, RcDst::kR0}) {
+          const isa::RcInstr rc = rc_op(op, d, a, b, /*srf=*/3, /*imm=*/-5);
+          for (int step : {0, 1, -1}) {
+            for (const auto& [start, trips] : walks) {
+              const isa::ColumnProgram prog =
+                  fused_loop_program({rc}, {step}, trips, start);
+              // The body must be what the fused quad path replays.
+              const auto trace = cgra::compile_trace(prog);
+              ASSERT_TRUE(trace->ok);
+              ASSERT_TRUE(trace->blocks[1].fuse_self_loop);
+              ASSERT_EQ(trace->lines[1].kind, cgra::tc::Line::Kind::kQuadFast);
+              expect_fused_identical(
+                  prog, "op " + std::to_string(o) + " a " +
+                            std::to_string(static_cast<int>(a)) + " b " +
+                            std::to_string(static_cast<int>(b)) + " d " +
+                            std::to_string(static_cast<int>(d)) + " step " +
+                            std::to_string(step) + " start " +
+                            std::to_string(start) + " trips " +
+                            std::to_string(trips));
+              if (::testing::Test::HasFatalFailure()) return;
+              ++kernels;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(kernels, 2000u);
+}
+
+/// Multi-line bodies: register temporaries written before they are read
+/// (the FFT butterfly shape), a register accumulated across iterations
+/// (the reduction shape), a step on a line other than the last, a
+/// result-less line, and bodies mixing quad lines with generic lines that
+/// rewrite the SRF the quad lines read or read the neighbour results the
+/// quad lines leave behind.
+TEST(TraceCacheFused, MultiLineBodiesMatchInterpreter) {
+  using isa::RcDst;
+  using isa::RcOp;
+  using isa::RcSrc;
+  struct Body {
+    const char* name;
+    std::vector<isa::RcInstr> rc;
+    std::vector<int> steps;  ///< per line; the last one usually walks
+  };
+  const std::vector<Body> bodies = {
+      {"butterfly temporaries",
+       {rc_add(RcDst::kR0, RcSrc::kVwrA, RcSrc::kVwrB),
+        rc_sra(RcDst::kVwrC, RcSrc::kR0, RcSrc::kOne),
+        rc_sub(RcDst::kR1, RcSrc::kVwrB, RcSrc::kVwrA),
+        rc_sra(RcDst::kVwrA, RcSrc::kR1, RcSrc::kOne)},
+       {0, 0, 0, 1}},
+      {"in-place pair",
+       {rc_add(RcDst::kVwrC, RcSrc::kVwrA, RcSrc::kVwrB),
+        rc_sub(RcDst::kVwrA, RcSrc::kVwrA, RcSrc::kVwrB)},
+       {0, 1}},
+      {"accumulator",
+       {rc_fxpmul(RcDst::kR0, RcSrc::kVwrA, RcSrc::kVwrA),
+        rc_add(RcDst::kR1, RcSrc::kR1, RcSrc::kR0)},
+       {0, 1}},
+      {"register read before written",
+       {rc_add(RcDst::kVwrC, RcSrc::kR0, RcSrc::kVwrA),
+        rc_mv(RcDst::kR0, RcSrc::kVwrB)},
+       {0, -1}},
+      {"invariant register and SRF",
+       {rc_fxpmul(RcDst::kVwrC, RcSrc::kR1, RcSrc::kVwrA),
+        rc_op(RcOp::kMax, RcDst::kVwrB, RcSrc::kVwrC, RcSrc::kSrf, 3)},
+       {0, 1}},
+      {"result-less line",
+       {rc_op(RcOp::kCmpLt, RcDst::kNone, RcSrc::kVwrA, RcSrc::kVwrB),
+        rc_add(RcDst::kVwrC, RcSrc::kVwrA, RcSrc::kImm, 0, 7)},
+       {0, 1}},
+      {"step on an inner line",
+       {rc_add(RcDst::kVwrC, RcSrc::kVwrA, RcSrc::kVwrB),
+        rc_sub(RcDst::kVwrB, RcSrc::kVwrC, RcSrc::kVwrA)},
+       {1, 0}},
+  };
+  for (const Body& body : bodies) {
+    for (int walk : {1, -1}) {
+      std::vector<int> steps = body.steps;
+      for (int& st : steps) st *= walk;
+      for (const auto& [start, trips] :
+           {std::pair<unsigned, unsigned>{0, 32}, {27, 9}, {4, 9}, {6, 45}}) {
+        expect_fused_identical(
+            fused_loop_program(body.rc, steps, trips, start),
+            std::string(body.name) + " walk " + std::to_string(walk) +
+                " start " + std::to_string(start) + " trips " +
+                std::to_string(trips));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+
+  // Mixed bodies: quad lines that load the SRF entry another quad line
+  // reads (the FIR multiply-accumulate shape), by immediate and by
+  // post-incremented pointer, and generic lines between quad lines.
+  enum class Middle { kLoadImm, kLoadPtr, kNeighbour };
+  auto mixed = [](Middle middle) {
+    ProgramBuilder pb;
+    pb.line()
+        .lcu(lcu_set(0, 11))
+        .mxcu(mxcu_set_idx(30))
+        .lsu(lsu_setptr(0, /*base srf=*/5))
+        .emit();
+    Label loop = pb.make_label();
+    pb.bind(loop);
+    pb.line()
+        .rc_all(rc_fxpmul(RcDst::kR0, RcSrc::kVwrA, RcSrc::kSrf, 3))
+        .mxcu(mxcu_add_idx(1))
+        .emit();
+    switch (middle) {
+      case Middle::kLoadImm:
+        pb.line()
+            .rc_all(rc_add(RcDst::kR1, RcSrc::kR1, RcSrc::kR0))
+            .lsu(lsu_ld_srf(3, 77))
+            .emit();
+        break;
+      case Middle::kLoadPtr:
+        pb.line()
+            .rc_all(rc_add(RcDst::kR1, RcSrc::kR1, RcSrc::kR0))
+            .lsu(lsu_ld_srf_ptr(3, 0, /*stride=*/3))
+            .emit();
+        break;
+      case Middle::kNeighbour:
+        // Generic: neighbour results are lane-crossing, never quad-fast.
+        pb.line().rc_all(rc_add(RcDst::kR1, RcSrc::kRcUp, RcSrc::kR0)).emit();
+        break;
+    }
+    pb.line()
+        .rc_all(rc_add(RcDst::kVwrC, RcSrc::kR1, RcSrc::kVwrB))
+        .mxcu(mxcu_add_idx(-2))
+        .lcu(lcu_dbnz(0), loop)
+        .emit();
+    pb.line().lcu(lcu_exit()).emit();
+    return pb.build();
+  };
+  {
+    // A one-line body with a load rides the per-line loop, not the
+    // one-line fast path.
+    ProgramBuilder pb;
+    pb.line().lcu(lcu_set(0, 9)).lsu(lsu_setptr(0, /*base srf=*/5)).emit();
+    Label loop = pb.make_label();
+    pb.bind(loop);
+    pb.line()
+        .rc_all(rc_add(RcDst::kVwrC, RcSrc::kVwrA, RcSrc::kR1))
+        .lsu(lsu_ld_srf_ptr(3, 0, /*stride=*/3))
+        .mxcu(mxcu_add_idx(1))
+        .lcu(lcu_dbnz(0), loop)
+        .emit();
+    pb.line().lcu(lcu_exit()).emit();
+    expect_fused_identical(pb.build(), "one-line body with an SRF load");
+  }
+  expect_fused_identical(mixed(Middle::kLoadImm), "mixed, SRF load by imm");
+  expect_fused_identical(mixed(Middle::kLoadPtr), "mixed, SRF load by ptr");
+  expect_fused_identical(mixed(Middle::kNeighbour), "mixed, neighbour reader");
 }
 
 /// Two columns that communicate through the SPM at *statically* known rows:
@@ -787,6 +1009,152 @@ TEST(TraceCacheFuzz, BatchedReplayMatchesInterpreterLanes) {
     }
   }
   EXPECT_GT(batched_trials, 10u);
+}
+
+/// Replay energy is counted per block and folded into the meter once per
+/// launch. Back-to-back launches on every replay tier -- decoupled,
+/// sync-scheduled, per-cycle lockstep, fleet-batched, and one launch that
+/// rolls back -- must leave the meter equal to an interpreter twin's after
+/// every single launch, so no launch's counts leak into the next one or
+/// survive its rollback.
+TEST(TraceCache, DeferredEnergyIsFoldedAfterEveryLaunchOnEveryTier) {
+  using isa::RcDst;
+  using isa::RcSrc;
+  // Decoupled: two columns with no shared rows.
+  const isa::KernelImage decoupled =
+      make_kernel2("dec", counted_accumulate_program(),
+                   counted_accumulate_program());
+  // Scheduled: column 0 stores a row that column 1 loads (static rows).
+  auto writer = [] {
+    ProgramBuilder pb;
+    pb.line().rc_all(rc_add(RcDst::kVwrA, RcSrc::kVwrA, RcSrc::kOne)).emit();
+    pb.line().lsu(lsu_st_vwr(VwrSel::A, 40)).emit();
+    pb.line().emit();
+    pb.line().emit();
+    pb.line().lcu(lcu_exit()).emit();
+    return pb.build();
+  };
+  auto reader = [] {
+    ProgramBuilder pb;
+    pb.line().emit();
+    pb.line().emit();
+    pb.line().lsu(lsu_ld_vwr(VwrSel::B, 40)).emit();
+    pb.line().rc_all(rc_add(RcDst::kVwrC, RcSrc::kVwrB, RcSrc::kOne)).emit();
+    pb.line().lcu(lcu_exit()).emit();
+    return pb.build();
+  };
+  const isa::KernelImage scheduled = make_kernel2("sched", writer(), reader());
+  // Lockstep: cross-column operands.
+  auto cross = [](RcDst dst) {
+    ProgramBuilder pb;
+    pb.line().rc_all(rc_add(RcDst::kR0, RcSrc::kVwrA, RcSrc::kOne)).emit();
+    pb.line().rc_all(rc_add(dst, RcSrc::kRcCross, RcSrc::kR0)).emit();
+    pb.line().lcu(lcu_exit()).emit();
+    return pb.build();
+  };
+  const isa::KernelImage lockstep =
+      make_kernel2("lock", cross(RcDst::kVwrB), cross(RcDst::kVwrC));
+  // Rollback: a dynamically addressed store onto the row the partner reads.
+  auto dyn_writer = [] {
+    ProgramBuilder pb;
+    pb.line().rc_all(rc_add(RcDst::kVwrA, RcSrc::kVwrA, RcSrc::kOne)).emit();
+    pb.line().lsu(lsu_st_vwr_srf(VwrSel::A, 4)).emit();
+    pb.line().emit();
+    pb.line().emit();
+    pb.line().lcu(lcu_exit()).emit();
+    return pb.build();
+  };
+  const isa::KernelImage rollback =
+      make_kernel2("roll", dyn_writer(), reader());
+
+  Rig ri(ExecMode::kInterpret);
+  Rig rt(ExecMode::kTraceCache);
+  ri.seed(Rng(93));
+  rt.seed(Rng(93));
+  for (Rig* r : {&ri, &rt}) {
+    r->acc.host_write_srf(0, 0, 9);   // trip counts
+    r->acc.host_write_srf(1, 0, 13);
+    r->acc.host_write_srf(0, 4, 40);  // the rollback kernel's store row
+  }
+  struct Launch {
+    const char* tier;
+    const isa::KernelImage* img;
+  };
+  const Launch launches[] = {
+      {"decoupled", &decoupled}, {"decoupled", &decoupled},
+      {"scheduled", &scheduled}, {"scheduled", &scheduled},
+      {"lockstep", &lockstep},   {"lockstep", &lockstep},
+      {"rollback", &rollback},   {"decoupled", &decoupled},
+  };
+  std::map<const isa::KernelImage*, std::pair<unsigned, unsigned>> ids;
+  for (const Launch& l : launches) {
+    if (!ids.count(l.img)) {
+      ids[l.img] = {ri.acc.register_kernel(*l.img),
+                    rt.acc.register_kernel(*l.img)};
+    }
+  }
+  unsigned n = 0;
+  for (const Launch& l : launches) {
+    const std::uint64_t dec = rt.acc.replayed_decoupled_cycles();
+    const std::uint64_t lock = rt.acc.replayed_lockstep_cycles();
+    const std::uint64_t sync = rt.acc.sync_points();
+    const std::uint64_t rolls = rt.acc.traced_rollbacks();
+    ri.acc.run_kernel(ids[l.img].first);
+    rt.acc.run_kernel(ids[l.img].second);
+    const std::string what =
+        "launch " + std::to_string(n++) + " (" + l.tier + ")";
+    expect_identical(ri, rt, what);
+    if (::testing::Test::HasFatalFailure()) return;
+    const std::string tier = l.tier;
+    if (tier == "decoupled") {
+      EXPECT_GT(rt.acc.replayed_decoupled_cycles(), dec) << what;
+    }
+    if (tier == "scheduled") {
+      EXPECT_GT(rt.acc.sync_points(), sync) << what;
+    }
+    if (tier == "lockstep" || tier == "rollback") {
+      EXPECT_GT(rt.acc.replayed_lockstep_cycles(), lock) << what;
+    }
+    if (tier == "rollback") {
+      EXPECT_EQ(rt.acc.traced_rollbacks(), rolls + 1) << what;
+    }
+  }
+  EXPECT_EQ(rt.acc.interpreted_cycles(), 0u);
+
+  // Batched: lanes share one dispatch; check every lane after each batch.
+  constexpr std::size_t kLanes = 3;
+  cgra::TraceCache shared;
+  std::vector<std::unique_ptr<Rig>> trig, irig;
+  std::array<cgra::Vwr2a*, kLanes> devs{};
+  std::array<unsigned, kLanes> kids{}, ikids{};
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    trig.push_back(std::make_unique<Rig>(ExecMode::kTraceCache));
+    irig.push_back(std::make_unique<Rig>(ExecMode::kInterpret));
+    trig[i]->acc.set_trace_cache(&shared);
+    trig[i]->seed(Rng(200 + i));
+    irig[i]->seed(Rng(200 + i));
+    devs[i] = &trig[i]->acc;
+    kids[i] = trig[i]->acc.register_kernel(decoupled);
+    ikids[i] = irig[i]->acc.register_kernel(decoupled);
+    for (unsigned c = 0; c < arch::kNumColumns; ++c) {
+      trig[i]->acc.host_write_srf(c, 0, 4 + static_cast<Word>(i + c));
+      irig[i]->acc.host_write_srf(c, 0, 4 + static_cast<Word>(i + c));
+    }
+    trig[i]->acc.run_kernel(kids[i]);  // warm: batching needs a plan
+    irig[i]->acc.run_kernel(ikids[i]);
+  }
+  for (int batch = 0; batch < 3; ++batch) {
+    cgra::tc::BatchReplayer::run(devs.data(), kids.data(), kLanes);
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      irig[i]->acc.run_kernel(ikids[i]);
+      expect_identical(*irig[i], *trig[i],
+                       "batch " + std::to_string(batch) + " lane " +
+                           std::to_string(i));
+      if (::testing::Test::HasFatalFailure()) return;
+      EXPECT_EQ(trig[i]->acc.batched_launches(),
+                static_cast<std::uint64_t>(batch + 1));
+    }
+  }
 }
 
 TEST(TraceCache, StaticHazardBailsToInterpreterWithSameFault) {
