@@ -13,16 +13,31 @@
 //  * The LCU resolves branches combinationally: the next PC takes effect in
 //    the following cycle with no delay slot (zero-overhead loops, since the
 //    LCU occupies its own slot).
-//  * Structural hazards (SRF single port, VWR write port, SPM array port)
-//    throw StructuralHazard: kernels must be scheduled hazard-free, as on
-//    the real machine.
+//
+// Execution model: each program is analyzed once when it is decoded
+// (cgra/line.hpp); step() executes the pre-resolved line at the PC and
+// charges its energy deltas as one block.
+//
+// Precise faults: a line raises its error only when it executes, before it
+// changes anything -- column registers, VWRs, SRF, PC, SPM data and row
+// stamps, and meter counts are exactly as the previous line left them, and
+// the executed-cycle count does not advance. The faults are:
+//  * StructuralHazard: a port conflict the line makes by itself (two SRF
+//    addresses, an SRF write beside another SRF access, an LSU row write
+//    and an RC word write into one VWR) -- kernels must be scheduled
+//    hazard-free, as on the real machine;
+//  * DecodeError: an illegal field in one of the line's configuration words;
+//  * RangeError: an LSU SPM row or word address out of range;
+//  * SimError: a kRcCross operand without a synchronized partner column, or
+//    a branch (or fall-through) past the end of the program.
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <string>
 #include <vector>
 
+#include "cgra/line.hpp"
 #include "cgra/tracecache.hpp"
 #include "common/types.hpp"
 #include "energy/meter.hpp"
@@ -37,10 +52,10 @@ namespace vwr2a::cgra {
 
 struct QuadStep;  // column_replay.cpp: a fused-loop line, routing resolved
 
-/// Per-RC architectural state.
+/// Per-RC register file (R0, R1). The RC result registers are
+/// Column::rc_outputs().
 struct RcState {
-  std::array<Word, arch::kRcRegs> rf{};  ///< R0, R1
-  Word out = 0;                          ///< previous-cycle ALU result
+  std::array<Word, arch::kRcRegs> rf{};
 };
 
 /// One column of the reconfigurable array.
@@ -48,31 +63,14 @@ class Column {
  public:
   using RcOutputs = std::array<Word, arch::kRcsPerColumn>;
 
-  /// One predecoded VLIW line.
-  struct DecodedLine {
-    isa::LcuInstr lcu;
-    isa::LsuInstr lsu;
-    isa::MxcuInstr mxcu;
-    std::array<isa::RcInstr, arch::kRcsPerColumn> rc;
-  };
-  using DecodedProgram = std::vector<DecodedLine>;
-
   Column(unsigned id, mem::Spm& spm, energy::EnergyMeter& meter);
 
-  /// Decodes a whole program (what load_program does internally). Exposed
-  /// so the synchronizer can predecode each kernel once and share the
-  /// result across reloads instead of re-decoding on every kernel switch.
-  static DecodedProgram decode_program(const isa::ColumnProgram& prog);
-
-  /// Copies (predecodes) a program into the unit program memories. Resets
-  /// the PC. Configuration-load cost is charged by the top level.
-  void load_program(const isa::ColumnProgram& prog);
-
-  /// Shared-ownership variant: aliases an already-decoded program (and the
-  /// encoded image) instead of copying either. `dec` must be the decode of
-  /// `prog`.
-  void load_program(std::shared_ptr<const isa::ColumnProgram> prog,
-                    std::shared_ptr<const DecodedProgram> dec);
+  /// Loads an analyzed program (cgra::decode_program) into the unit
+  /// program memories, aliasing it. Resets the PC. Configuration-load cost
+  /// is charged by the top level. Vwr2a takes each kernel's analysis from
+  /// its TraceCache (decoded()), so a kernel switch or a fleet of devices
+  /// never re-decodes a program.
+  void load_program(std::shared_ptr<const DecodedProgram> dec);
 
   /// Starts execution at PC 0.
   void start();
@@ -84,8 +82,9 @@ class Column {
   unsigned pc() const { return pc_; }
 
   /// Executes one cycle. `cross` points at the other column's previous-cycle
-  /// RC results when both columns run synchronized; nullptr otherwise (using
-  /// a kRcCross operand then throws).
+  /// RC results when both columns run synchronized; nullptr otherwise (a
+  /// line reading a kRcCross operand then faults). Throws the executing
+  /// line's fault, if any, with no effect (see the header comment).
   void step(const RcOutputs* cross);
 
   /// Previous-cycle RC results (for the cross-column network).
@@ -94,8 +93,8 @@ class Column {
   // --- trace-cache replay (see cgra/tracecache.hpp) --------------------------
 
   /// Attaches (or detaches, with nullptr) the compiled trace of the loaded
-  /// program. The trace is consulted only by run_traced(); step() stays the
-  /// interpreter.
+  /// program. The trace is consulted only by the *_traced() entry points;
+  /// step() stays the interpreter.
   void set_trace(std::shared_ptr<const CompiledTrace> trace) {
     trace_ = std::move(trace);
   }
@@ -200,12 +199,15 @@ class Column {
   std::string line_asm(unsigned pc) const;
 
  private:
-  Word read_rc_src(isa::RcSrc src, const isa::RcInstr& instr, unsigned r,
-                   const RcOutputs* cross);
-  unsigned lsu_address(const isa::LsuInstr& instr);
+  /// Throws RangeError when the LSU op of `u` would address outside the
+  /// SPM. Pure: pointer post-increments are left to the line's execution.
+  void check_lsu_address(const tc::LsuUop& u) const;
 
-  // --- trace replay internals (column_replay.cpp) ----------------------------
-  void exec_traced_line(const tc::Line& L);
+  // --- line execution and trace replay (column_replay.cpp) ------------------
+  /// Executes one legal micro-op line: evaluate against pre-cycle state,
+  /// then commit. Faults are the caller's business (step() decides them
+  /// first; replay rolls back). exec_dispatch picks the quad fast path.
+  void exec_line(const tc::Line& L);
   void exec_quad_fast(const tc::Line& L);
   void exec_quad_rcs(const tc::Line& L);
   void quad_load(const tc::Src& s, Word* v) const;
@@ -227,16 +229,19 @@ class Column {
                      QuadStep* steps);
   void exec_dispatch(const tc::Line& L) {
     L.kind == tc::Line::Kind::kQuadFast ? exec_quad_fast(L)
-                                        : exec_traced_line(L);
+                                        : exec_line(L);
   }
   /// Evaluates a block terminator; returns the next pc and sets `exit`.
   unsigned eval_term(const tc::Block& b, bool& exit);
-  Word trace_src(const tc::Src& s) const;
-  unsigned trace_lsu_addr(const tc::LsuUop& u);
-  const Word* spm_trace_read_row(unsigned row);
-  void spm_trace_write_row(unsigned row, const mem::Vwr::Row& v);
-  Word spm_trace_read_word(unsigned word);
-  void spm_trace_write_word(unsigned word, Word v);
+  Word read_src(const tc::Src& s) const;
+  /// The SPM address of an LSU op against the current state; lsu_addr()
+  /// also applies a pointer mode's post-increment.
+  unsigned lsu_peek_addr(const tc::LsuUop& u) const;
+  unsigned lsu_addr(const tc::LsuUop& u);
+  const Word* spm_read_row(unsigned row);
+  void spm_write_row(unsigned row, const mem::Vwr::Row& v);
+  Word spm_read_word(unsigned word);
+  void spm_write_word(unsigned word, Word v);
 
   unsigned id_;
   mem::Spm* spm_;
@@ -252,7 +257,6 @@ class Column {
   SWord aux_ = 0;      ///< MXCU auxiliary register
 
   std::shared_ptr<const DecodedProgram> prog_;
-  std::shared_ptr<const isa::ColumnProgram> raw_prog_;  ///< for disassembly
   unsigned pc_ = 0;
   bool running_ = false;
   Cycle executed_ = 0;

@@ -1,11 +1,13 @@
-// Trace-cache replay of one column: the Column members that execute
-// compiled traces. Kept apart from the interpreter in column.cpp so the two
-// engines are optimized as separate units.
+// Line execution and trace-cache replay of one column: the Column members
+// that execute micro-op lines, superblocks and fused loops (see
+// cgra/tracecache.hpp for the compilation model and the identity
+// contract). exec_dispatch() executes one legal micro-op line;
+// Column::step() runs it after deciding the line's faults, and replay runs
+// it inside superblocks and fused loops.
 
 #include "cgra/column.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <type_traits>
 
 #include "cgra/alu.hpp"
@@ -14,127 +16,7 @@
 
 namespace vwr2a::cgra {
 
-// ---------------------------------------------------------------------------
-// Trace-cache replay (see cgra/tracecache.hpp for the compilation model and
-// the identity contract). Everything below must mirror step() bit for bit;
-// the hazard checks and per-event meter adds are gone because the compiler
-// proved the schedule and pre-aggregated the events per block.
-// ---------------------------------------------------------------------------
-
 namespace {
-
-/// One RC ALU operation as a stateless functor. Per-lane semantics are
-/// exactly alu_eval()'s (alu.cpp), the interpreter's switch; the
-/// differential trace tests pin the two to each other.
-template <isa::RcOp Op>
-struct AluFn {
-  Word operator()(Word a, Word b) const {
-    using isa::RcOp;
-    using I64 = std::int64_t;
-    if constexpr (Op == RcOp::kNop) {
-      return 0;
-    } else if constexpr (Op == RcOp::kSadd) {
-      return static_cast<Word>(static_cast<SWord>(
-          static_cast<I64>(static_cast<SWord>(a)) + static_cast<SWord>(b)));
-    } else if constexpr (Op == RcOp::kSsub) {
-      return static_cast<Word>(static_cast<SWord>(
-          static_cast<I64>(static_cast<SWord>(a)) - static_cast<SWord>(b)));
-    } else if constexpr (Op == RcOp::kSmul) {
-      return static_cast<Word>(static_cast<SWord>(
-          (static_cast<I64>(static_cast<SWord>(a)) * static_cast<SWord>(b)) &
-          0xFFFFFFFFll));
-    } else if constexpr (Op == RcOp::kFxpMul) {
-      // Fixed-point mode: drop the low 16 bits of the 64-bit product, keep
-      // the next 32 (paper Sec 3.1).
-      return static_cast<Word>(static_cast<SWord>(
-          (static_cast<I64>(static_cast<SWord>(a)) * static_cast<SWord>(b)) >>
-          16));
-    } else if constexpr (Op == RcOp::kSll) {
-      return a << (b & 31u);
-    } else if constexpr (Op == RcOp::kSrl) {
-      return a >> (b & 31u);
-    } else if constexpr (Op == RcOp::kSra) {
-      return static_cast<Word>(static_cast<SWord>(a) >> (b & 31u));
-    } else if constexpr (Op == RcOp::kLand) {
-      return a & b;
-    } else if constexpr (Op == RcOp::kLor) {
-      return a | b;
-    } else if constexpr (Op == RcOp::kLxor) {
-      return a ^ b;
-    } else if constexpr (Op == RcOp::kLnot) {
-      return ~a;
-    } else if constexpr (Op == RcOp::kMv) {
-      return a;
-    } else if constexpr (Op == RcOp::kCmpEq) {
-      return a == b ? 1u : 0u;
-    } else if constexpr (Op == RcOp::kCmpLt) {
-      return static_cast<SWord>(a) < static_cast<SWord>(b) ? 1u : 0u;
-    } else if constexpr (Op == RcOp::kCmpLe) {
-      return static_cast<SWord>(a) <= static_cast<SWord>(b) ? 1u : 0u;
-    } else if constexpr (Op == RcOp::kMax) {
-      return static_cast<SWord>(a) >= static_cast<SWord>(b) ? a : b;
-    } else if constexpr (Op == RcOp::kMin) {
-      return static_cast<SWord>(a) <= static_cast<SWord>(b) ? a : b;
-    } else {
-      static_assert(Op == RcOp::kAbs, "unhandled RC opcode");
-      const SWord sa = static_cast<SWord>(a);
-      if (sa == std::numeric_limits<SWord>::min()) {
-        return static_cast<Word>(std::numeric_limits<SWord>::max());
-      }
-      return static_cast<Word>(sa < 0 ? -sa : sa);
-    }
-  }
-};
-
-/// Switches on `op` once and calls fn(AluFn<op>{}), so a loop written in
-/// `fn` runs with the opcode fixed at compile time instead of re-dispatching
-/// per element. Throws DecodeError on an out-of-range opcode.
-template <typename Fn>
-[[gnu::always_inline]] inline decltype(auto) with_alu_op(isa::RcOp op, Fn&& fn) {
-  using isa::RcOp;
-  switch (op) {
-    case RcOp::kNop: return fn(AluFn<RcOp::kNop>{});
-    case RcOp::kSadd: return fn(AluFn<RcOp::kSadd>{});
-    case RcOp::kSsub: return fn(AluFn<RcOp::kSsub>{});
-    case RcOp::kSmul: return fn(AluFn<RcOp::kSmul>{});
-    case RcOp::kFxpMul: return fn(AluFn<RcOp::kFxpMul>{});
-    case RcOp::kSll: return fn(AluFn<RcOp::kSll>{});
-    case RcOp::kSrl: return fn(AluFn<RcOp::kSrl>{});
-    case RcOp::kSra: return fn(AluFn<RcOp::kSra>{});
-    case RcOp::kLand: return fn(AluFn<RcOp::kLand>{});
-    case RcOp::kLor: return fn(AluFn<RcOp::kLor>{});
-    case RcOp::kLxor: return fn(AluFn<RcOp::kLxor>{});
-    case RcOp::kLnot: return fn(AluFn<RcOp::kLnot>{});
-    case RcOp::kMv: return fn(AluFn<RcOp::kMv>{});
-    case RcOp::kCmpEq: return fn(AluFn<RcOp::kCmpEq>{});
-    case RcOp::kCmpLt: return fn(AluFn<RcOp::kCmpLt>{});
-    case RcOp::kCmpLe: return fn(AluFn<RcOp::kCmpLe>{});
-    case RcOp::kMax: return fn(AluFn<RcOp::kMax>{});
-    case RcOp::kMin: return fn(AluFn<RcOp::kMin>{});
-    case RcOp::kAbs: return fn(AluFn<RcOp::kAbs>{});
-    default: throw DecodeError("alu_eval: bad RC opcode");
-  }
-}
-
-/// Precomputed shuffle permutations: replay resolves the per-word source
-/// switch of shuffle_eval() once per mode instead of once per word.
-struct ShuffleTables {
-  // [mode][i] = source index into the A:B concatenation.
-  std::array<std::array<std::uint16_t, arch::kVwrWords>, 8> map{};
-  ShuffleTables() {
-    for (unsigned m = 0; m < 8; ++m) {
-      for (unsigned i = 0; i < arch::kVwrWords; ++i) {
-        map[m][i] = static_cast<std::uint16_t>(
-            shuffle_source_index(static_cast<isa::ShufMode>(m), i));
-      }
-    }
-  }
-};
-
-const ShuffleTables& shuffle_tables() {
-  static const ShuffleTables t;
-  return t;
-}
 
 /// Four-lane ALU evaluation with the opcode switch hoisted out of the lane
 /// loop.
@@ -148,9 +30,9 @@ inline void alu_eval4(isa::RcOp op, const Word* a, const Word* b, Word* o) {
 
 void Column::save_state(Checkpoint& ck) const {
   for (unsigned v = 0; v < arch::kVwrsPerColumn; ++v) {
-    ck.vwr[v] = vwrs_[v].trace_row();
+    ck.vwr[v] = vwrs_[v].row();
   }
-  for (unsigned i = 0; i < arch::kSrfEntries; ++i) ck.srf[i] = srf_.trace_read(i);
+  ck.srf = srf_.regs();
   ck.rcs = rcs_;
   ck.rc_prev = rc_prev_;
   ck.lcu_rf = lcu_rf_;
@@ -164,11 +46,9 @@ void Column::save_state(Checkpoint& ck) const {
 
 void Column::restore_state(const Checkpoint& ck) {
   for (unsigned v = 0; v < arch::kVwrsPerColumn; ++v) {
-    vwrs_[v].trace_row() = ck.vwr[v];
+    vwrs_[v].row() = ck.vwr[v];
   }
-  for (unsigned i = 0; i < arch::kSrfEntries; ++i) {
-    srf_.trace_write(i, ck.srf[i]);
-  }
+  srf_.regs() = ck.srf;
   rcs_ = ck.rcs;
   rc_prev_ = ck.rc_prev;
   lcu_rf_ = ck.lcu_rf;
@@ -178,46 +58,49 @@ void Column::restore_state(const Checkpoint& ck) {
   pc_ = ck.pc;
   running_ = ck.running;
   executed_ = ck.executed;
+  // A rollback abandons the replay: the restored column steps interpreted.
+  undo_ = nullptr;
+  tb_ = nullptr;
 }
 
-inline const Word* Column::spm_trace_read_row(unsigned row) {
-  const Word* p = spm_->trace_row(row);  // range-checks like the interpreter
+inline const Word* Column::spm_read_row(unsigned row) {
+  const Word* p = spm_->array_row(row);  // range-checks like the interpreter
   spm_rmask_[mask_tier_] |= 1ull << row;
   return p;
 }
 
-inline void Column::spm_trace_write_row(unsigned row, const mem::Vwr::Row& v) {
+inline void Column::spm_write_row(unsigned row, const mem::Vwr::Row& v) {
   if (undo_ != nullptr && row < arch::kSpmRows &&
       ((undo_->saved_mask >> row) & 1u) == 0) {
     undo_->saved_mask |= 1ull << row;
-    std::copy_n(spm_->trace_row(row), arch::kVwrWords,
+    std::copy_n(spm_->array_row(row), arch::kVwrWords,
                 undo_->rows[row].begin());
     undo_->versions[row] = spm_->row_version(row);
   }
-  spm_->trace_write_row(row, v);
+  spm_->array_write_row(row, v);
   spm_wmask_[mask_tier_] |= 1ull << row;
 }
 
-inline Word Column::spm_trace_read_word(unsigned word) {
-  const Word v = spm_->trace_read_word(word);
+inline Word Column::spm_read_word(unsigned word) {
+  const Word v = spm_->array_read_word(word);
   spm_rmask_[mask_tier_] |= 1ull << (word / arch::kVwrWords);
   return v;
 }
 
-inline void Column::spm_trace_write_word(unsigned word, Word v) {
+inline void Column::spm_write_word(unsigned word, Word v) {
   const unsigned row = word / arch::kVwrWords;
   if (undo_ != nullptr && row < arch::kSpmRows &&
       ((undo_->saved_mask >> row) & 1u) == 0) {
     undo_->saved_mask |= 1ull << row;
-    std::copy_n(spm_->trace_row(row), arch::kVwrWords,
+    std::copy_n(spm_->array_row(row), arch::kVwrWords,
                 undo_->rows[row].begin());
     undo_->versions[row] = spm_->row_version(row);
   }
-  spm_->trace_write_word(word, v);
+  spm_->array_write_word(word, v);
   spm_wmask_[mask_tier_] |= 1ull << row;
 }
 
-inline Word Column::trace_src(const tc::Src& s) const {
+inline Word Column::read_src(const tc::Src& s) const {
   using K = tc::Src::K;
   switch (s.k) {
     case K::kImm:
@@ -225,9 +108,9 @@ inline Word Column::trace_src(const tc::Src& s) const {
     case K::kRf:
       return rcs_[s.rc].rf[s.idx];
     case K::kVwr:
-      return vwrs_[s.vwr].trace_row()[s.base + idx_];
+      return vwrs_[s.vwr].row()[s.base + idx_];
     case K::kSrf:
-      return srf_.trace_read(s.idx);
+      return srf_.regs()[s.idx];
     case K::kPrev:
       return rc_prev_[s.rc];
     case K::kCross:
@@ -243,26 +126,37 @@ inline Word Column::trace_src(const tc::Src& s) const {
   }
 }
 
-inline unsigned Column::trace_lsu_addr(const tc::LsuUop& u) {
+inline unsigned Column::lsu_peek_addr(const tc::LsuUop& u) const {
   using isa::LsuAddrMode;
   switch (u.amode) {
     case LsuAddrMode::kImm:
       return static_cast<unsigned>(u.imm);
     case LsuAddrMode::kSrfImm:
-      return static_cast<unsigned>(srf_.trace_read(u.srf_base)) +
+      return static_cast<unsigned>(srf_.regs()[u.srf_base]) +
              static_cast<unsigned>(u.imm);
-    case LsuAddrMode::kPtr0Post: {
-      const unsigned a = lsu_ptr_[0];
-      lsu_ptr_[0] = static_cast<std::uint32_t>(
-          static_cast<std::int64_t>(lsu_ptr_[0]) + u.imm);
-      return a;
-    }
-    default: {  // kPtr1Post (compiler rejects anything else)
-      const unsigned a = lsu_ptr_[1];
-      lsu_ptr_[1] = static_cast<std::uint32_t>(
-          static_cast<std::int64_t>(lsu_ptr_[1]) + u.imm);
-      return a;
-    }
+    case LsuAddrMode::kPtr0Post:
+      return lsu_ptr_[0];
+    default:  // kPtr1Post (decode admits nothing else)
+      return lsu_ptr_[1];
+  }
+}
+
+inline unsigned Column::lsu_addr(const tc::LsuUop& u) {
+  using isa::LsuAddrMode;
+  const unsigned a = lsu_peek_addr(u);
+  if (u.amode == LsuAddrMode::kPtr0Post || u.amode == LsuAddrMode::kPtr1Post) {
+    std::uint32_t& p = lsu_ptr_[u.amode == LsuAddrMode::kPtr1Post];
+    p = static_cast<std::uint32_t>(static_cast<std::int64_t>(p) + u.imm);
+  }
+  return a;
+}
+
+void Column::check_lsu_address(const tc::LsuUop& u) const {
+  const unsigned addr = lsu_peek_addr(u);
+  if (u.op == isa::LsuOp::kLdVwr || u.op == isa::LsuOp::kStVwr) {
+    mem::Spm::check_row(addr);
+  } else {
+    mem::Spm::check_word(addr);
   }
 }
 
@@ -278,14 +172,14 @@ inline void Column::quad_load(const tc::Src& s, Word* v) const {
       }
       break;
     case K::kVwr: {
-      const Word* row = vwrs_[s.vwr].trace_row().data() + idx_;
+      const Word* row = vwrs_[s.vwr].row().data() + idx_;
       for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
         v[r] = row[r * arch::kSliceWords];
       }
       break;
     }
     case K::kSrf: {
-      const Word x = srf_.trace_read(s.idx);
+      const Word x = srf_.regs()[s.idx];
       v[0] = v[1] = v[2] = v[3] = x;
       break;
     }
@@ -317,7 +211,7 @@ inline void Column::exec_quad_rcs(const tc::Line& L) {
       }
       break;
     case tc::Dst::kVwr: {
-      Word* row = vwrs_[q.vwr].trace_row().data() + idx_;
+      Word* row = vwrs_[q.vwr].row().data() + idx_;
       for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
         row[r * arch::kSliceWords] = outs[r];
       }
@@ -359,7 +253,7 @@ void Column::exec_quad_fast(const tc::Line& L) {
   }
 }
 
-void Column::exec_traced_line(const tc::Line& L) {
+void Column::exec_line(const tc::Line& L) {
   using isa::LsuOp;
   using isa::MxcuOp;
   using isa::LcuOp;
@@ -374,34 +268,25 @@ void Column::exec_traced_line(const tc::Line& L) {
     const tc::LsuUop& u = L.lsu;
     switch (u.op) {
       case LsuOp::kLdVwr:
-        pend_row_src = spm_trace_read_row(trace_lsu_addr(u));
+        pend_row_src = spm_read_row(lsu_addr(u));
         pend_row_vwr = u.vwr;
         break;
       case LsuOp::kStVwr: {
-        const unsigned row = trace_lsu_addr(u);
-        spm_trace_write_row(row, vwrs_[u.vwr].trace_row());
+        const unsigned row = lsu_addr(u);
+        spm_write_row(row, vwrs_[u.vwr].row());
         break;
       }
       case LsuOp::kLdSrf:
-        pend_srf_val = spm_trace_read_word(trace_lsu_addr(u));
+        pend_srf_val = spm_read_word(lsu_addr(u));
         pend_srf_idx = u.srf_data;
         break;
       case LsuOp::kStSrf: {
-        const unsigned word = trace_lsu_addr(u);
-        spm_trace_write_word(word, srf_.trace_read(u.srf_data));
+        const unsigned word = lsu_addr(u);
+        spm_write_word(word, srf_.regs()[u.srf_data]);
         break;
       }
       case LsuOp::kShuf: {
-        const auto& map = shuffle_tables().map[static_cast<unsigned>(u.mode)];
-        // Gather from A:B laid out as one array: the map indexes it
-        // directly.
-        std::array<Word, 2 * arch::kVwrWords> ab;
-        std::copy_n(vwrs_[0].trace_row().data(), arch::kVwrWords, ab.data());
-        std::copy_n(vwrs_[1].trace_row().data(), arch::kVwrWords,
-                    ab.data() + arch::kVwrWords);
-        for (unsigned i = 0; i < arch::kVwrWords; ++i) {
-          shuf_scratch_[i] = ab[map[i]];
-        }
+        shuffle_eval(u.mode, vwrs_[0].row(), vwrs_[1].row(), shuf_scratch_);
         pend_row_src = shuf_scratch_.data();
         pend_row_vwr = static_cast<int>(VwrSel::C);
         break;
@@ -409,7 +294,7 @@ void Column::exec_traced_line(const tc::Line& L) {
       case LsuOp::kSetPtr: {
         const unsigned p = static_cast<unsigned>(u.vwr) & 1u;
         lsu_ptr_[p] = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(srf_.trace_read(u.srf_base)) + u.imm);
+            static_cast<std::int64_t>(srf_.regs()[u.srf_base]) + u.imm);
         break;
       }
       default:
@@ -431,13 +316,13 @@ void Column::exec_traced_line(const tc::Line& L) {
         new_idx = static_cast<unsigned>(static_cast<SWord>(idx_) + u.imm);
         break;
       case MxcuOp::kSetIdxSrf:
-        new_idx = srf_.trace_read(u.srf);
+        new_idx = srf_.regs()[u.srf];
         break;
       case MxcuOp::kAddIdxSrf:
-        new_idx = idx_ + srf_.trace_read(u.srf);
+        new_idx = idx_ + srf_.regs()[u.srf];
         break;
       case MxcuOp::kAndIdxSrf:
-        new_idx = idx_ & srf_.trace_read(u.srf);
+        new_idx = idx_ & srf_.regs()[u.srf];
         break;
       case MxcuOp::kSetAux:
         new_aux = u.imm;
@@ -490,7 +375,7 @@ void Column::exec_traced_line(const tc::Line& L) {
         break;
       case LcuOp::kMvSrf:
         pend_lcu_rd = u.rd;
-        pend_lcu_val = srf_.trace_read(u.srf);
+        pend_lcu_val = srf_.regs()[u.srf];
         break;
       case LcuOp::kStSrf:
         pend_lcu_srf = u.srf;
@@ -509,8 +394,8 @@ void Column::exec_traced_line(const tc::Line& L) {
     for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
       if (((L.rc_mask >> r) & 1u) == 0) continue;
       const tc::RcUop& u = L.rc[r];
-      const Word a = trace_src(u.a);
-      const Word b = u.unary ? 0 : trace_src(u.b);
+      const Word a = read_src(u.a);
+      const Word b = u.unary ? 0 : read_src(u.b);
       outs[r] = alu_eval(u.op, a, b);
     }
     for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
@@ -521,10 +406,10 @@ void Column::exec_traced_line(const tc::Line& L) {
           rcs_[r].rf[u.idx] = outs[r];
           break;
         case tc::Dst::kVwr:
-          vwrs_[u.vwr].trace_row()[u.base + idx_] = outs[r];
+          vwrs_[u.vwr].row()[u.base + idx_] = outs[r];
           break;
         case tc::Dst::kSrf:
-          srf_.trace_write(u.idx, outs[r]);
+          srf_.regs()[u.idx] = outs[r];
           break;
         default:
           break;
@@ -536,54 +421,21 @@ void Column::exec_traced_line(const tc::Line& L) {
   // ---- end-of-cycle commits (interpreter order; at most one SRF write
   // exists per line, so the relative SRF order is immaterial).
   if (pend_row_vwr >= 0) {
-    Word* dst = vwrs_[pend_row_vwr].trace_row().data();
+    Word* dst = vwrs_[pend_row_vwr].row().data();
     std::copy_n(pend_row_src, arch::kVwrWords, dst);
   }
-  if (pend_srf_idx >= 0) srf_.trace_write(pend_srf_idx, pend_srf_val);
-  if (pend_mx_srf >= 0) srf_.trace_write(pend_mx_srf, idx_);
-  if (pend_lcu_srf >= 0) srf_.trace_write(pend_lcu_srf, pend_lcu_srf_val);
+  if (pend_srf_idx >= 0) srf_.regs()[pend_srf_idx] = pend_srf_val;
+  if (pend_mx_srf >= 0) srf_.regs()[pend_mx_srf] = idx_;
+  if (pend_lcu_srf >= 0) srf_.regs()[pend_lcu_srf] = pend_lcu_srf_val;
   if (pend_lcu_rd >= 0) lcu_rf_[pend_lcu_rd] = pend_lcu_val;
   idx_ = new_idx;
   aux_ = new_aux;
 }
 
 inline unsigned Column::eval_term(const tc::Block& b, bool& exit) {
-  unsigned next = b.first + b.len;  // fallthrough
-  switch (b.term) {
-    case tc::Term::kFall:
-      break;
-    case tc::Term::kB:
-      next = b.target;
-      break;
-    case tc::Term::kCond: {
-      const SWord ra = static_cast<SWord>(lcu_rf_[b.ra]);
-      const SWord rb = static_cast<SWord>(lcu_rf_[b.rb]);
-      bool taken = false;
-      switch (b.cond) {
-        case tc::Cond::kEq: taken = ra == rb; break;
-        case tc::Cond::kNe: taken = ra != rb; break;
-        case tc::Cond::kLt: taken = ra < rb; break;
-        case tc::Cond::kGe: taken = ra >= rb; break;
-        case tc::Cond::kEqI: taken = ra == b.imm; break;
-        case tc::Cond::kNeI: taken = ra != b.imm; break;
-        case tc::Cond::kLtI: taken = ra < b.imm; break;
-        case tc::Cond::kGeI: taken = ra >= b.imm; break;
-        case tc::Cond::kSrfZ: taken = srf_.trace_read(b.srf) == 0; break;
-        case tc::Cond::kSrfNz: taken = srf_.trace_read(b.srf) != 0; break;
-      }
-      if (taken) next = b.target;
-      break;
-    }
-    case tc::Term::kDbnz: {
-      const Word nv = lcu_rf_[b.rd] - 1;
-      lcu_rf_[b.rd] = nv;
-      if (nv != 0) next = b.target;
-      break;
-    }
-    case tc::Term::kExit:
-      exit = true;
-      break;
-  }
+  const unsigned next = branch_next(b, b.first + b.len, lcu_rf_.data(),
+                                    srf_.regs().data(), exit);
+  if (b.term == tc::Term::kDbnz) --lcu_rf_[b.rd];
   return next;
 }
 
@@ -598,7 +450,6 @@ void Column::begin_traced(tc::SpmUndo* undo) {
 }
 
 void Column::end_traced() {
-  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) rcs_[r].out = rc_prev_[r];
   undo_ = nullptr;
   for (std::size_t bi = 0; bi < block_runs_.size(); ++bi) {
     if (block_runs_[bi] != 0) {
@@ -716,7 +567,7 @@ void Column::run_fused_loop(const tc::Block& b, std::uint64_t iters) {
         {&rcs_[0].rf[e], &rcs_[1].rf[e], &rcs_[2].rf[e], &rcs_[3].rf[e]}, 0};
   };
   auto row = [this](unsigned v) {
-    Word* p = vwrs_[v].trace_row().data();
+    Word* p = vwrs_[v].row().data();
     return QuadStep::Operand{{p, p + S, p + 2 * S, p + 3 * S}, ~0u};
   };
   auto broadcast = [](Word* p) { return QuadStep::Operand{{p, p, p, p}, 0}; };
@@ -727,7 +578,7 @@ void Column::run_fused_loop(const tc::Block& b, std::uint64_t iters) {
       case K::kVwr:
         return row(src.vwr);
       case K::kSrf:  // read live: a generic line of the body may write it
-        return broadcast(&srf_.trace_regs()[src.idx]);
+        return broadcast(&srf_.regs()[src.idx]);
       default:  // kImm (quad_shape admits no lane-crossing source)
         imm = src.imm;
         return broadcast(&imm);
@@ -788,9 +639,9 @@ void Column::run_fused_loop(const tc::Block& b, std::uint64_t iters) {
         if (with_loads && st.load != nullptr) {
           // The load holds the SRF port, so no RC of the line reads the
           // SRF; the loaded word commits last, as in the interpreter.
-          const Word v = spm_trace_read_word(trace_lsu_addr(*st.load));
+          const Word v = spm_read_word(lsu_addr(*st.load));
           st.run(st, idx_, rc_prev_.data());
-          srf_.trace_write(st.load->srf_data, v);
+          srf_.regs()[st.load->srf_data] = v;
         } else {
           st.run(st, idx_, rc_prev_.data());
         }

@@ -1,5 +1,8 @@
 #include "cgra/shuffle.hpp"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/bits.hpp"
 #include "common/status.hpp"
 
@@ -40,12 +43,43 @@ unsigned shuffle_source_index(isa::ShufMode mode, unsigned i) {
   }
 }
 
+namespace {
+
+/// shuffle_source_index() precomputed for every mode: [mode][i] = source
+/// index into the A:B concatenation.
+using ShuffleMap = std::array<std::array<std::uint16_t, kN>,
+                              static_cast<unsigned>(isa::ShufMode::kCount)>;
+
+const ShuffleMap& shuffle_map() {
+  static const ShuffleMap map = [] {
+    ShuffleMap m{};
+    for (unsigned mode = 0; mode < m.size(); ++mode) {
+      for (unsigned i = 0; i < kN; ++i) {
+        m[mode][i] = static_cast<std::uint16_t>(
+            shuffle_source_index(static_cast<isa::ShufMode>(mode), i));
+      }
+    }
+    return m;
+  }();
+  return map;
+}
+
+} // namespace
+
+void shuffle_eval(isa::ShufMode mode, const VwrRow& a, const VwrRow& b,
+                  VwrRow& out) {
+  if (mode >= isa::ShufMode::kCount) throw DecodeError("shuffle: bad mode");
+  const auto& map = shuffle_map()[static_cast<unsigned>(mode)];
+  // Gather from A:B laid out as one array: the map indexes it directly.
+  std::array<Word, kConcat> ab;
+  std::copy_n(a.begin(), kN, ab.begin());
+  std::copy_n(b.begin(), kN, ab.begin() + kN);
+  for (unsigned i = 0; i < kN; ++i) out[i] = ab[map[i]];
+}
+
 VwrRow shuffle_eval(isa::ShufMode mode, const VwrRow& a, const VwrRow& b) {
-  VwrRow out{};
-  for (unsigned i = 0; i < kN; ++i) {
-    const unsigned src = shuffle_source_index(mode, i);
-    out[i] = (src < kN) ? a[src] : b[src - kN];
-  }
+  VwrRow out;
+  shuffle_eval(mode, a, b, out);
   return out;
 }
 

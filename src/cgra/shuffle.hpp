@@ -27,8 +27,14 @@ using VwrRow = std::array<Word, arch::kVwrWords>;
 ///    words are moved to the lower 32 words"; Lo/Hi halves.
 VwrRow shuffle_eval(isa::ShufMode mode, const VwrRow& a, const VwrRow& b);
 
+/// shuffle_eval() writing into `out`, which must alias neither input.
+void shuffle_eval(isa::ShufMode mode, const VwrRow& a, const VwrRow& b,
+                  VwrRow& out);
+
 /// The permutation/selection as an index map into the concatenation A:B:
-/// result[i] = concat[shuffle_source_index(mode, i)]. Used by property tests.
+/// result[i] = concat[shuffle_source_index(mode, i)]. The definition the
+/// precomputed table every shuffle reads from is built from; also used by
+/// property tests.
 unsigned shuffle_source_index(isa::ShufMode mode, unsigned i);
 
 } // namespace vwr2a::cgra

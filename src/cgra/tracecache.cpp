@@ -1,10 +1,6 @@
 #include "cgra/tracecache.hpp"
 
 #include <algorithm>
-#include <optional>
-
-#include "cgra/alu.hpp"
-#include "common/status.hpp"
 
 namespace vwr2a::cgra {
 
@@ -14,334 +10,7 @@ using energy::Event;
 using isa::LcuOp;
 using isa::LsuAddrMode;
 using isa::LsuOp;
-using isa::MxcuOp;
-using isa::RcDst;
-using isa::RcOp;
-using isa::RcSrc;
 
-/// One column program's worth of decoded instructions.
-struct DecodedLine {
-  isa::LcuInstr lcu;
-  isa::LsuInstr lsu;
-  isa::MxcuInstr mxcu;
-  std::array<isa::RcInstr, arch::kRcsPerColumn> rc;
-};
-
-bool is_lcu_control(LcuOp op) {
-  switch (op) {
-    case LcuOp::kB:
-    case LcuOp::kBeq:
-    case LcuOp::kBne:
-    case LcuOp::kBlt:
-    case LcuOp::kBge:
-    case LcuOp::kBeqI:
-    case LcuOp::kBneI:
-    case LcuOp::kBltI:
-    case LcuOp::kBgeI:
-    case LcuOp::kBsrfZ:
-    case LcuOp::kBsrfNz:
-    case LcuOp::kDbnz:
-    case LcuOp::kExit:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// True when the LSU op computes a memory address (and may read the SRF in
-/// kSrfImm mode).
-bool lsu_uses_address(LsuOp op) {
-  switch (op) {
-    case LsuOp::kLdVwr:
-    case LsuOp::kStVwr:
-    case LsuOp::kLdSrf:
-    case LsuOp::kStSrf:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Statically replays the SRF port-claim sequence of one line exactly as
-/// the interpreter performs it. Returns false when the single-ported SRF
-/// would raise a StructuralHazard (the program then stays interpreted).
-bool srf_schedule_legal(const DecodedLine& L) {
-  std::optional<unsigned> addr;
-  bool was_write = false;
-  auto claim = [&](unsigned idx, bool is_write) -> bool {
-    if (!addr.has_value()) {
-      addr = idx;
-      was_write = is_write;
-      return true;
-    }
-    return *addr == idx && !was_write && !is_write;
-  };
-  // Evaluate phase, interpreter order: LCU, LSU, MXCU, RCs.
-  switch (L.lcu.op) {
-    case LcuOp::kMvSrf:
-    case LcuOp::kBsrfZ:
-    case LcuOp::kBsrfNz:
-      if (!claim(L.lcu.srf, false)) return false;
-      break;
-    default:
-      break;
-  }
-  if (lsu_uses_address(L.lsu.op) && L.lsu.amode == LsuAddrMode::kSrfImm) {
-    if (!claim(L.lsu.srf_base, false)) return false;
-  }
-  if (L.lsu.op == LsuOp::kStSrf) {
-    if (!claim(L.lsu.srf_data, false)) return false;
-  }
-  if (L.lsu.op == LsuOp::kSetPtr) {
-    if (!claim(L.lsu.srf_base, false)) return false;
-  }
-  switch (L.mxcu.op) {
-    case MxcuOp::kSetIdxSrf:
-    case MxcuOp::kAddIdxSrf:
-    case MxcuOp::kAndIdxSrf:
-      if (!claim(L.mxcu.srf, false)) return false;
-      break;
-    default:
-      break;
-  }
-  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-    const isa::RcInstr& I = L.rc[r];
-    if (I.op == RcOp::kNop) continue;
-    if (I.src_a == RcSrc::kSrf && !claim(I.srf, false)) return false;
-    if (!alu_is_unary(I.op) && I.src_b == RcSrc::kSrf && !claim(I.srf, false)) {
-      return false;
-    }
-  }
-  // Commit phase, interpreter order: RC dsts, LSU, MXCU, LCU.
-  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-    const isa::RcInstr& I = L.rc[r];
-    if (I.op == RcOp::kNop) continue;
-    if (I.dst == RcDst::kSrf && !claim(I.srf, true)) return false;
-  }
-  if (L.lsu.op == LsuOp::kLdSrf && !claim(L.lsu.srf_data, true)) return false;
-  if (L.mxcu.op == MxcuOp::kStIdxSrf && !claim(L.mxcu.srf, true)) return false;
-  if (L.lcu.op == LcuOp::kStSrf && !claim(L.lcu.srf, true)) return false;
-  return true;
-}
-
-/// Static VWR write-port check: an LSU whole-row write (load or shuffle
-/// result) colliding with any RC word write into the same VWR is the
-/// hazard the Vwr port model raises at runtime.
-bool vwr_schedule_legal(const DecodedLine& L) {
-  int row_write_vwr = -1;
-  if (L.lsu.op == LsuOp::kLdVwr) {
-    row_write_vwr = static_cast<int>(L.lsu.vwr);
-  } else if (L.lsu.op == LsuOp::kShuf) {
-    row_write_vwr = static_cast<int>(VwrSel::C);
-  }
-  if (row_write_vwr < 0) return true;
-  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-    const isa::RcInstr& I = L.rc[r];
-    if (I.op == RcOp::kNop) continue;
-    const int d = static_cast<int>(I.dst) - static_cast<int>(RcDst::kVwrA);
-    if (d >= 0 && d < 3 && d == row_write_vwr) return false;
-  }
-  return true;
-}
-
-/// Appends the energy events one execution of this line raises -- an exact
-/// static mirror of the adds Column::step() performs.
-void add_line_energy(const DecodedLine& L,
-                     std::array<std::uint64_t, static_cast<unsigned>(
-                                                   Event::kCount)>& counts) {
-  auto add = [&counts](Event e, std::uint64_t n = 1) {
-    counts[static_cast<unsigned>(e)] += n;
-  };
-  add(Event::kInstrFetchRc, arch::kRcsPerColumn);
-  add(Event::kInstrFetchCtrl, 3);
-  add(Event::kPcUpdate);
-  // LCU.
-  switch (L.lcu.op) {
-    case LcuOp::kMvSrf:
-    case LcuOp::kBsrfZ:
-    case LcuOp::kBsrfNz:
-      add(Event::kSrfRead);
-      break;
-    case LcuOp::kStSrf:
-      add(Event::kSrfWrite);
-      break;
-    default:
-      break;
-  }
-  // LSU.
-  if (lsu_uses_address(L.lsu.op) && L.lsu.amode == LsuAddrMode::kSrfImm) {
-    add(Event::kSrfRead);
-  }
-  switch (L.lsu.op) {
-    case LsuOp::kLdVwr:
-      add(Event::kSpmRowRead);
-      add(Event::kVwrRowWrite);
-      break;
-    case LsuOp::kStVwr:
-      add(Event::kSpmRowWrite);
-      break;
-    case LsuOp::kLdSrf:
-      add(Event::kSpmRowRead);
-      add(Event::kSrfWrite);
-      break;
-    case LsuOp::kStSrf:
-      add(Event::kSrfRead);
-      add(Event::kSpmRowWrite);
-      break;
-    case LsuOp::kShuf:
-      add(Event::kShuffleOp);
-      add(Event::kVwrRowWrite);
-      break;
-    case LsuOp::kSetPtr:
-      add(Event::kSrfRead);
-      break;
-    default:
-      break;
-  }
-  // MXCU.
-  switch (L.mxcu.op) {
-    case MxcuOp::kSetIdxSrf:
-    case MxcuOp::kAddIdxSrf:
-    case MxcuOp::kAndIdxSrf:
-      add(Event::kSrfRead);
-      break;
-    case MxcuOp::kStIdxSrf:
-      add(Event::kSrfWrite);
-      break;
-    default:
-      break;
-  }
-  // RCs.
-  auto src_energy = [&add](RcSrc s) {
-    switch (s) {
-      case RcSrc::kR0:
-      case RcSrc::kR1:
-        add(Event::kRcRfRead);
-        break;
-      case RcSrc::kVwrA:
-      case RcSrc::kVwrB:
-      case RcSrc::kVwrC:
-        add(Event::kVwrWordRead);
-        break;
-      case RcSrc::kSrf:
-        add(Event::kSrfRead);
-        break;
-      default:
-        break;
-    }
-  };
-  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-    const isa::RcInstr& I = L.rc[r];
-    if (I.op == RcOp::kNop) continue;
-    src_energy(I.src_a);
-    if (!alu_is_unary(I.op)) src_energy(I.src_b);
-    add(alu_energy_event(I.op));
-    switch (I.dst) {
-      case RcDst::kR0:
-      case RcDst::kR1:
-        add(Event::kRcRfWrite);
-        break;
-      case RcDst::kVwrA:
-      case RcDst::kVwrB:
-      case RcDst::kVwrC:
-        add(Event::kVwrWordWrite);
-        break;
-      case RcDst::kSrf:
-        add(Event::kSrfWrite);
-        break;
-      default:
-        break;
-    }
-  }
-}
-
-/// Resolves one RC source. kRcCross resolves to the partner-snapshot slot:
-/// it replays on the per-cycle lockstep tier (Column::set_cross) and faults
-/// like the interpreter anywhere else.
-bool resolve_src(RcSrc s, const isa::RcInstr& I, unsigned r, tc::Src& out) {
-  using K = tc::Src::K;
-  switch (s) {
-    case RcSrc::kZero:
-      out = {K::kImm, 0, 0, 0, 0, 0};
-      return true;
-    case RcSrc::kOne:
-      out = {K::kImm, 0, 0, 0, 0, 1};
-      return true;
-    case RcSrc::kR0:
-    case RcSrc::kR1:
-      out.k = K::kRf;
-      out.rc = static_cast<std::uint8_t>(r);
-      out.idx = s == RcSrc::kR0 ? 0 : 1;
-      return true;
-    case RcSrc::kVwrA:
-    case RcSrc::kVwrB:
-    case RcSrc::kVwrC:
-      out.k = K::kVwr;
-      out.vwr = static_cast<std::uint8_t>(static_cast<unsigned>(s) -
-                                          static_cast<unsigned>(RcSrc::kVwrA));
-      out.base = static_cast<std::uint16_t>(r * arch::kSliceWords);
-      return true;
-    case RcSrc::kSrf:
-      out.k = K::kSrf;
-      out.idx = I.srf;
-      return true;
-    case RcSrc::kRcUp:
-      out.k = K::kPrev;
-      out.rc = static_cast<std::uint8_t>(
-          (r + arch::kRcsPerColumn - 1) % arch::kRcsPerColumn);
-      return true;
-    case RcSrc::kRcDown:
-      out.k = K::kPrev;
-      out.rc = static_cast<std::uint8_t>((r + 1) % arch::kRcsPerColumn);
-      return true;
-    case RcSrc::kImm:
-      out = {K::kImm, 0, 0, 0, 0,
-             static_cast<Word>(static_cast<SWord>(I.imm))};
-      return true;
-    case RcSrc::kRcCross:
-      out.k = K::kCross;
-      out.rc = static_cast<std::uint8_t>(r);  // same lane, partner column
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool resolve_rc(const isa::RcInstr& I, unsigned r, tc::RcUop& u) {
-  u.op = I.op;
-  u.unary = alu_is_unary(I.op);
-  if (!resolve_src(I.src_a, I, r, u.a)) return false;
-  if (!u.unary && !resolve_src(I.src_b, I, r, u.b)) return false;
-  switch (I.dst) {
-    case RcDst::kNone:
-      u.d = tc::Dst::kNone;
-      break;
-    case RcDst::kR0:
-    case RcDst::kR1:
-      u.d = tc::Dst::kRf;
-      u.idx = I.dst == RcDst::kR0 ? 0 : 1;
-      break;
-    case RcDst::kVwrA:
-    case RcDst::kVwrB:
-    case RcDst::kVwrC:
-      u.d = tc::Dst::kVwr;
-      u.vwr = static_cast<std::uint8_t>(static_cast<unsigned>(I.dst) -
-                                        static_cast<unsigned>(RcDst::kVwrA));
-      u.base = static_cast<std::uint16_t>(r * arch::kSliceWords);
-      break;
-    case RcDst::kSrf:
-      u.d = tc::Dst::kSrf;
-      u.idx = I.srf;
-      break;
-    default:
-      return false;
-  }
-  return true;
-}
-
-/// Lane-uniform shape test: all four RCs run the same op with the same
-/// source/destination kinds and shared indices, differing only in their
-/// slice. The rc_all() idiom every kernel's inner loop uses.
 /// Accumulates the statically-addressed SPM rows one execution of `line`
 /// touches (LSU kImm address mode only). Dynamic modes (SRF/pointer)
 /// contribute nothing: those accesses stay on the free tier and the runtime
@@ -376,65 +45,14 @@ void add_static_spm(const tc::Line& line, std::uint64_t& sread,
   (is_write ? swrite : sread) |= 1ull << row;
 }
 
-/// True when any active RC of the line reads the partner column.
-bool line_has_cross(const tc::Line& line) {
-  using K = tc::Src::K;
-  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-    if (((line.rc_mask >> r) & 1u) == 0) continue;
-    const tc::RcUop& u = line.rc[r];
-    if (u.a.k == K::kCross || (!u.unary && u.b.k == K::kCross)) return true;
-  }
-  return false;
-}
-
-bool quad_shape(const tc::Line& line) {
-  if (line.rc_mask != 0xF) return false;
-  const tc::RcUop& a = line.rc[0];
-  using K = tc::Src::K;
-  auto lane_ok = [](const tc::Src& s) {
-    return s.k != K::kPrev && s.k != K::kCross;  // lane-crossing sources
-  };
-  if (!lane_ok(a.a) || (!a.unary && !lane_ok(a.b))) return false;
-  for (unsigned r = 1; r < arch::kRcsPerColumn; ++r) {
-    const tc::RcUop& u = line.rc[r];
-    if (u.op != a.op || u.d != a.d) return false;
-    auto same_src = [](const tc::Src& x, const tc::Src& y) {
-      if (x.k != y.k) return false;
-      switch (x.k) {
-        case K::kImm:
-          return x.imm == y.imm;
-        case K::kRf:
-          return x.idx == y.idx;  // same rf entry, lane-relative rc
-        case K::kVwr:
-          return x.vwr == y.vwr;  // same VWR, lane-relative slice base
-        case K::kSrf:
-          return x.idx == y.idx;
-        default:
-          return false;
-      }
-    };
-    if (!same_src(u.a, a.a)) return false;
-    if (!a.unary && !same_src(u.b, a.b)) return false;
-    switch (a.d) {
-      case tc::Dst::kNone:
-        break;
-      case tc::Dst::kRf:
-        if (u.idx != a.idx) return false;
-        break;
-      case tc::Dst::kVwr:
-        if (u.vwr != a.vwr) return false;
-        break;
-      case tc::Dst::kSrf:
-        return false;  // four SRF writes would be a hazard anyway
-    }
-  }
-  return true;
-}
-
 } // namespace
 
 std::shared_ptr<const CompiledTrace> compile_trace(
     const isa::ColumnProgram& prog) {
+  return compile_trace(decode_program(prog));
+}
+
+std::shared_ptr<const CompiledTrace> compile_trace(const DecodedProgram& dec) {
   auto trace = std::make_shared<CompiledTrace>();
   auto bail = [&trace](std::string why) {
     trace->ok = false;
@@ -445,153 +63,58 @@ std::shared_ptr<const CompiledTrace> compile_trace(
     return std::shared_ptr<const CompiledTrace>(trace);
   };
 
-  const unsigned len = prog.length();
+  const unsigned len = static_cast<unsigned>(dec.size());
   if (len == 0) return bail("empty program");
 
-  // Decode every line (identically to Column::load_program).
-  std::vector<DecodedLine> dec(len);
-  try {
-    for (unsigned pc = 0; pc < len; ++pc) {
-      dec[pc].lcu = isa::decode_lcu(prog.word(Slot::LCU, pc));
-      dec[pc].lsu = isa::decode_lsu(prog.word(Slot::LSU, pc));
-      dec[pc].mxcu = isa::decode_mxcu(prog.word(Slot::MXCU, pc));
-      for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-        dec[pc].rc[r] = isa::decode_rc(prog.word(rc_slot(r), pc));
-      }
-    }
-  } catch (const SimError&) {
-    return bail("undecodable configuration word");
-  }
-
-  // Legality: static hazards and branch targets. Anything the interpreter
-  // would fault on at runtime keeps the program interpreted so the fault
-  // surfaces with the documented behaviour and exact partial state.
+  // Static faults and static branch targets past the end keep the program
+  // interpreted, so the fault surfaces from the reference engine. (Replay
+  // faults that depend on runtime state roll back to it as well.)
   for (unsigned pc = 0; pc < len; ++pc) {
     const DecodedLine& L = dec[pc];
-    if (!srf_schedule_legal(L)) return bail("static SRF port hazard");
-    if (!vwr_schedule_legal(L)) return bail("static VWR write-port hazard");
-    if (is_lcu_control(L.lcu.op) && L.lcu.op != LcuOp::kExit &&
-        L.lcu.target >= len) {
-      return bail("branch target past program end");
-    }
+    if (L.fault != LineFault::kNone) return bail(L.fault_what);
+    const bool branches = L.term != tc::Term::kFall && L.term != tc::Term::kExit;
+    if (branches && L.target >= len) return bail("branch target past program end");
   }
 
-  // Flatten lines to micro-ops.
   trace->lines.resize(len);
-  for (unsigned pc = 0; pc < len; ++pc) {
-    const DecodedLine& L = dec[pc];
-    tc::Line& line = trace->lines[pc];
-    for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-      if (L.rc[r].op == RcOp::kNop) continue;
-      if (!resolve_rc(L.rc[r], r, line.rc[r])) return bail("unresolvable RC");
-      line.rc_mask |= 1u << r;
-    }
-    line.quad = quad_shape(line);
-    const isa::LsuInstr& lsu = L.lsu;
-    if (lsu.op != LsuOp::kNop) {
-      line.has_lsu = true;
-      line.lsu = {lsu.op,      lsu.amode, static_cast<std::uint8_t>(lsu.vwr),
-                  lsu.srf_base, lsu.srf_data, lsu.mode,
-                  static_cast<std::int32_t>(lsu.imm)};
-    }
-    if (L.mxcu.op != MxcuOp::kNop) {
-      line.has_mxcu = true;
-      line.mxcu = {L.mxcu.op, L.mxcu.srf, static_cast<std::int32_t>(L.mxcu.imm)};
-    }
-    if (L.lcu.op != LcuOp::kNop && !is_lcu_control(L.lcu.op)) {
-      line.has_lcu = true;
-      line.lcu = {L.lcu.op, L.lcu.rd, L.lcu.ra, L.lcu.srf,
-                  static_cast<std::int32_t>(L.lcu.imm)};
-    }
-    // Replay dispatch class: the inner-loop shape (quad RC op, optionally a
-    // register-only MXCU index update) gets the specialized fast path.
-    const bool mxcu_simple =
-        !line.has_mxcu ||
-        (line.mxcu.op == MxcuOp::kSetIdx || line.mxcu.op == MxcuOp::kAddIdx ||
-         line.mxcu.op == MxcuOp::kSetAux || line.mxcu.op == MxcuOp::kAddAux ||
-         line.mxcu.op == MxcuOp::kIdxFromAux);
-    line.kind = (line.quad && !line.has_lsu && !line.has_lcu && mxcu_simple)
-                    ? tc::Line::Kind::kQuadFast
-                    : tc::Line::Kind::kGeneric;
-  }
+  for (unsigned pc = 0; pc < len; ++pc) trace->lines[pc] = dec[pc].uop;
 
   // Superblock construction. Leaders: entry, every branch target, and every
   // successor of a control line.
+  auto is_control = [&dec](unsigned pc) { return dec[pc].term != tc::Term::kFall; };
   std::vector<bool> leader(len, false);
   leader[0] = true;
   for (unsigned pc = 0; pc < len; ++pc) {
-    const LcuOp op = dec[pc].lcu.op;
-    if (!is_lcu_control(op)) continue;
-    if (op != LcuOp::kExit) leader[dec[pc].lcu.target] = true;
+    if (!is_control(pc)) continue;
+    if (dec[pc].term != tc::Term::kExit) leader[dec[pc].target] = true;
     if (pc + 1 < len) leader[pc + 1] = true;
   }
   trace->block_of.assign(len, 0);
   for (unsigned pc = 0; pc < len;) {
+    unsigned end = pc;  // inclusive index of the terminator line
+    while (!is_control(end) && end + 1 < len && !leader[end + 1]) ++end;
+    const DecodedLine& T = dec[end];
     tc::Block b;
     b.first = static_cast<std::uint16_t>(pc);
-    unsigned end = pc;  // inclusive index of the terminator line
-    while (true) {
-      if (is_lcu_control(dec[end].lcu.op)) break;
-      if (end + 1 >= len || leader[end + 1]) break;
-      ++end;
-    }
     b.len = static_cast<std::uint16_t>(end - pc + 1);
-    const isa::LcuInstr& T = dec[end].lcu;
+    b.term = T.term;  // kFall: a plain line cut at a leader boundary
+    b.cond = T.cond;
+    b.ra = T.ra;
+    b.rb = T.rb;
+    b.rd = T.rd;
+    b.srf = T.srf;
+    b.imm = T.imm;
     b.target = T.target;
-    switch (T.op) {
-      case LcuOp::kB:
-        b.term = tc::Term::kB;
-        break;
-      case LcuOp::kBeq:
-      case LcuOp::kBne:
-      case LcuOp::kBlt:
-      case LcuOp::kBge:
-        b.term = tc::Term::kCond;
-        b.cond = static_cast<tc::Cond>(static_cast<unsigned>(T.op) -
-                                       static_cast<unsigned>(LcuOp::kBeq));
-        b.ra = T.ra;
-        b.rb = T.rb;
-        break;
-      case LcuOp::kBeqI:
-      case LcuOp::kBneI:
-      case LcuOp::kBltI:
-      case LcuOp::kBgeI:
-        b.term = tc::Term::kCond;
-        b.cond = static_cast<tc::Cond>(
-            static_cast<unsigned>(tc::Cond::kEqI) +
-            (static_cast<unsigned>(T.op) - static_cast<unsigned>(LcuOp::kBeqI)));
-        b.ra = T.ra;
-        b.imm = T.imm;
-        break;
-      case LcuOp::kBsrfZ:
-        b.term = tc::Term::kCond;
-        b.cond = tc::Cond::kSrfZ;
-        b.srf = T.srf;
-        break;
-      case LcuOp::kBsrfNz:
-        b.term = tc::Term::kCond;
-        b.cond = tc::Cond::kSrfNz;
-        b.srf = T.srf;
-        break;
-      case LcuOp::kDbnz:
-        b.term = tc::Term::kDbnz;
-        b.rd = T.rd;
-        break;
-      case LcuOp::kExit:
-        b.term = tc::Term::kExit;
-        break;
-      default:
-        b.term = tc::Term::kFall;  // plain line cut at a leader boundary
-        break;
-    }
 
     // Energy of one full block replay, and the block's static SPM rows (the
     // dependence facts the sync scheduler partitions the kernel with).
     std::array<std::uint64_t, static_cast<unsigned>(Event::kCount)> counts{};
     for (unsigned i = pc; i <= end; ++i) {
-      add_line_energy(dec[i], counts);
+      for (const energy::LineDelta& d : dec[i].energy_deltas()) {
+        counts[static_cast<unsigned>(d.e)] += d.n;
+      }
       add_static_spm(trace->lines[i], b.sread, b.swrite);
-      if (line_has_cross(trace->lines[i])) trace->has_cross = true;
+      if (dec[i].reads_cross) trace->has_cross = true;
     }
     for (unsigned e = 0; e < counts.size(); ++e) {
       if (counts[e] != 0) {

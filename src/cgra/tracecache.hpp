@@ -1,22 +1,19 @@
 #pragma once
 // Trace-cached kernel execution (the interpreter -> trace-cache move).
 //
-// Column::step() is a decode-everything switch interpreter: every simulated
-// cycle re-resolves operand routing, re-checks the single-port structural
-// hazards and issues a dozen EnergyMeter::add() calls -- for loop bodies
-// that the LCU's zero-overhead loops (paper Sec 3.1) replay thousands of
-// times per kernel completely unchanged. The trace compiler here hoists all
-// of that invariant work out of the hot loop:
+// Column::step() executes one pre-resolved line per simulated cycle (see
+// cgra/line.hpp: decoding, port legality, operand routing and per-line
+// energy are decided once per loaded program). Loop bodies that the LCU's
+// zero-overhead loops (paper Sec 3.1) replay thousands of times per kernel
+// still pay the per-cycle dispatch, fault checks and meter update. The
+// trace compiler here consumes the same line analysis and lifts the rest
+// out of the hot loop:
 //
-//   * each VLIW line is flattened into a micro-op line with operand sources
-//     pre-resolved (register/VWR-slice indices computed, immediates
-//     sign-extended, SRF addresses bound);
-//   * the structural-hazard schedule (single-ported SRF, VWR write ports)
-//     is validated once at compile time -- programs that would trip a
-//     hazard at runtime simply fail to compile and fall back to the
-//     interpreter, which raises the documented StructuralHazard;
+//   * programs with a static fault (illegal field, port hazard) or a
+//     static branch target past the end do not compile and stay on the
+//     interpreter, which raises the documented error;
 //   * straight-line runs between LCU control-flow decisions become
-//     superblocks whose energy events are pre-aggregated into one delta
+//     superblocks whose per-line energy deltas are summed into one block
 //     list; replay only counts block executions and folds count x delta
 //     into the meter once per launch;
 //   * self-loop DBNZ blocks (the hardware-loop idiom every kernel uses)
@@ -29,10 +26,9 @@
 // exactly equal energy totals: equal integer counts give equal sums), and
 // the same SPM row-stamp predicates (write sets are identical; only the
 // interleaving of stamp values between decoupled columns may differ, which
-// the residency logic is insensitive to). Anything the compiler cannot
-// prove faithful -- kRcCross operands, static hazards, branch targets past
-// the program end -- makes the program non-traceable and the block falls
-// back to the interpreter for that kernel.
+// the residency logic is insensitive to). A program with a static fault
+// or a static branch target past the end is non-traceable and runs on the
+// interpreter; a replay that faults at runtime rolls back and reruns there.
 //
 // Sharing: compiled traces are cached process-wide (or pool-wide, via
 // isa::ImageCache::traces()) keyed by the ArchConfig variant name plus the
@@ -50,114 +46,20 @@
 #include <string>
 #include <vector>
 
+#include "cgra/line.hpp"
 #include "common/types.hpp"
 #include "energy/meter.hpp"
-#include "isa/instr.hpp"
 #include "isa/program.hpp"
 
 namespace vwr2a::cgra {
 
 /// How Vwr2a::run_kernel executes kernels (soc::ArchConfig::exec_mode).
 enum class ExecMode : std::uint8_t {
-  kInterpret = 0,  ///< per-cycle switch interpreter (the reference model)
+  kInterpret = 0,  ///< per-cycle line interpreter (the reference model)
   kTraceCache,     ///< compiled micro-op block replay (bit/cycle/energy-identical)
 };
 
 namespace tc {
-
-/// A pre-resolved RC operand source.
-struct Src {
-  enum class K : std::uint8_t {
-    kImm = 0,  ///< constant (imm8 sign-extended, or the 0/1 constants)
-    kRf,       ///< rcs_[rc].rf[entry]
-    kVwr,      ///< vwrs_[vwr] word at slice base + shared index
-    kSrf,      ///< SRF[idx]
-    kPrev,     ///< rc_prev_[idx] (neighbour result, index pre-wrapped)
-    kCross,    ///< partner column's previous-cycle RC result, read from the
-               ///< per-cycle snapshot the lockstep tier publishes via
-               ///< Column::set_cross (decoupled tiers have no snapshot and
-               ///< fault exactly like the interpreter)
-  };
-  K k = K::kImm;
-  std::uint8_t vwr = 0;    ///< VWR select for kVwr
-  std::uint8_t rc = 0;     ///< RC index for kRf; rc_prev index for kPrev
-  std::uint8_t idx = 0;    ///< rf entry for kRf; SRF entry for kSrf
-  std::uint16_t base = 0;  ///< slice word base (rc * kSliceWords) for kVwr
-  Word imm = 0;            ///< value for kImm
-};
-
-/// A pre-resolved RC destination.
-enum class Dst : std::uint8_t { kNone = 0, kRf, kVwr, kSrf };
-
-/// One RC micro-op.
-struct RcUop {
-  isa::RcOp op = isa::RcOp::kNop;
-  bool unary = false;
-  Src a, b;
-  Dst d = Dst::kNone;
-  std::uint8_t vwr = 0;    ///< VWR select for Dst::kVwr
-  std::uint8_t idx = 0;    ///< rf entry for kRf; SRF entry for kSrf
-  std::uint16_t base = 0;  ///< slice word base for Dst::kVwr
-};
-
-/// One LSU micro-op (address mode folded; imm pre-widened).
-struct LsuUop {
-  isa::LsuOp op = isa::LsuOp::kNop;
-  isa::LsuAddrMode amode = isa::LsuAddrMode::kImm;
-  std::uint8_t vwr = 0;       ///< VWR select / pointer select
-  std::uint8_t srf_base = 0;
-  std::uint8_t srf_data = 0;
-  isa::ShufMode mode = isa::ShufMode::kInterleaveLo;
-  std::int32_t imm = 0;
-};
-
-/// One MXCU micro-op.
-struct MxcuUop {
-  isa::MxcuOp op = isa::MxcuOp::kNop;
-  std::uint8_t srf = 0;
-  std::int32_t imm = 0;
-};
-
-/// One LCU register micro-op (control ops live in the block terminator).
-struct LcuUop {
-  isa::LcuOp op = isa::LcuOp::kNop;  ///< kSetI..kStSrf only
-  std::uint8_t rd = 0, ra = 0, srf = 0;
-  std::int32_t imm = 0;
-};
-
-/// One flattened VLIW line.
-struct Line {
-  /// Replay dispatch class, precomputed so the hot loop takes one branch.
-  enum class Kind : std::uint8_t {
-    kQuadFast = 0,  ///< quad RC op, at most a register-only MXCU op
-    kGeneric,       ///< anything else (full evaluate/commit machinery)
-  };
-  Kind kind = Kind::kGeneric;
-  std::uint8_t rc_mask = 0;  ///< bit r set when RC r is active
-  bool quad = false;  ///< all 4 RCs identical shape: rc[0] is lane-relative
-  bool has_lsu = false, has_mxcu = false, has_lcu = false;
-  std::array<RcUop, arch::kRcsPerColumn> rc{};
-  LsuUop lsu;
-  MxcuUop mxcu;
-  LcuUop lcu;
-};
-
-/// Block terminator kinds (the LCU control-flow decision re-evaluated each
-/// replay; everything else in the block is straight-line).
-enum class Term : std::uint8_t {
-  kFall = 0,  ///< no control op: fall through to the next block
-  kB,         ///< unconditional branch
-  kCond,      ///< conditional branch (cond re-evaluated every replay)
-  kDbnz,      ///< decrement-and-branch-if-nonzero (hardware loop)
-  kExit,      ///< kernel end
-};
-
-/// Condition kinds for Term::kCond.
-enum class Cond : std::uint8_t {
-  kEq = 0, kNe, kLt, kGe,          ///< register-register
-  kEqI, kNeI, kLtI, kGeI,          ///< register-immediate
-  kSrfZ, kSrfNz,                   ///< SRF zero test
-};
 
 /// One superblock: a straight-line run of lines plus its terminator and the
 /// pre-aggregated energy of one full replay.
@@ -201,8 +103,12 @@ class CompiledTrace {
   unsigned length() const { return static_cast<unsigned>(lines.size()); }
 };
 
-/// Compiles one column program. Never throws on untraceable input: the
-/// result carries ok = false and the interpreter stays authoritative.
+/// Compiles one column program from its line analysis. Never throws on
+/// untraceable input: the result carries ok = false and the interpreter
+/// stays authoritative.
+std::shared_ptr<const CompiledTrace> compile_trace(const DecodedProgram& dec);
+
+/// compile_trace() over decode_program(prog).
 std::shared_ptr<const CompiledTrace> compile_trace(const isa::ColumnProgram& prog);
 
 /// A read-only provider of precompiled traces consulted on cache miss
@@ -216,10 +122,11 @@ class TraceSource {
       const std::string& variant, const isa::ColumnProgram& prog) = 0;
 };
 
-/// Thread-safe cache of compiled traces, keyed by (variant namespace,
-/// program content). Negative results (ok = false) are cached too, so a
-/// non-traceable kernel costs one compile attempt fleet-wide, not one per
-/// launch. Owned by isa::ImageCache so a DevicePool's devices share it.
+/// Thread-safe cache of program line analyses and compiled traces, keyed by
+/// (variant namespace, program content). Negative results (ok = false) are
+/// cached too, so a non-traceable kernel costs one compile attempt
+/// fleet-wide, not one per launch. Owned by isa::ImageCache so a
+/// DevicePool's devices share it.
 class TraceCache {
  public:
   struct Stats {
@@ -229,30 +136,35 @@ class TraceCache {
     std::uint64_t hydrated = 0;  ///< misses served by the artifact source
   };
 
+  /// The line analysis of `prog` (decode_program), computed once per
+  /// (variant, content) and shared by every device on this cache and by
+  /// the trace compiler.
+  std::shared_ptr<const DecodedProgram> decoded(const std::string& variant,
+                                                const isa::ColumnProgram& prog) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return decoded_locked(entry_locked(variant, prog));
+  }
+
   /// Returns the compiled trace for `prog` under the `variant` namespace
   /// (soc::ArchConfig::name()), on first use loading it from the attached
-  /// artifact source (when it has the entry) or compiling it in-process.
+  /// artifact source (when it has the entry) or compiling it in-process
+  /// from the shared line analysis.
   std::shared_ptr<const CompiledTrace> get_or_compile(
       const std::string& variant, const isa::ColumnProgram& prog) {
-    const std::uint64_t h = hash_program(variant, prog);
     std::lock_guard<std::mutex> lock(mu_);
-    auto [it, end] = entries_.equal_range(h);
-    for (; it != end; ++it) {
-      if (it->second.variant == variant && it->second.prog == prog) {
-        ++hits_;
-        return it->second.trace;
-      }
+    Entry& e = entry_locked(variant, prog);
+    if (e.trace != nullptr) {
+      ++hits_;
+      return e.trace;
     }
-    std::shared_ptr<const CompiledTrace> trace;
-    if (source_ != nullptr) trace = source_->load_trace(variant, prog);
-    if (trace != nullptr) {
+    if (source_ != nullptr) e.trace = source_->load_trace(variant, prog);
+    if (e.trace != nullptr) {
       ++hydrated_;
     } else {
-      trace = compile_trace(prog);
-      trace->ok ? ++compiled_ : ++bailed_;
+      e.trace = compile_trace(*decoded_locked(e));
+      e.trace->ok ? ++compiled_ : ++bailed_;
     }
-    entries_.emplace(h, Entry{variant, prog, trace});
-    return trace;
+    return e.trace;
   }
 
   /// Attaches (or detaches, nullptr) the precompiled-trace source. Attach
@@ -275,15 +187,38 @@ class TraceCache {
                                const std::shared_ptr<const CompiledTrace>&)>&
           fn) const {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [h, e] : entries_) fn(e.variant, e.prog, e.trace);
+    for (const auto& [h, e] : entries_) {
+      if (e.trace != nullptr) fn(e.variant, e.prog, e.trace);
+    }
   }
 
  private:
   struct Entry {
     std::string variant;
     isa::ColumnProgram prog;  ///< full copy: collision-proof equality check
-    std::shared_ptr<const CompiledTrace> trace;
+    std::shared_ptr<const DecodedProgram> dec;   ///< null until first needed
+    std::shared_ptr<const CompiledTrace> trace;  ///< null until first needed
   };
+
+  /// The entry for (variant, prog), created empty on first use. Caller
+  /// holds mu_.
+  Entry& entry_locked(const std::string& variant, const isa::ColumnProgram& prog) {
+    const std::uint64_t h = hash_program(variant, prog);
+    auto [it, end] = entries_.equal_range(h);
+    for (; it != end; ++it) {
+      if (it->second.variant == variant && it->second.prog == prog) {
+        return it->second;
+      }
+    }
+    return entries_.emplace(h, Entry{variant, prog, nullptr, nullptr})->second;
+  }
+
+  static const std::shared_ptr<const DecodedProgram>& decoded_locked(Entry& e) {
+    if (e.dec == nullptr) {
+      e.dec = std::make_shared<const DecodedProgram>(decode_program(e.prog));
+    }
+    return e.dec;
+  }
 
   static std::uint64_t hash_program(const std::string& variant,
                                     const isa::ColumnProgram& prog) {

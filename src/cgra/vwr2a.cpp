@@ -61,18 +61,12 @@ void Vwr2a::start_kernel(unsigned kernel_id) {
     advance(config_.charge_load(kernel_id));
     if (kernel_rt_.size() <= kernel_id) kernel_rt_.resize(kernel_id + 1);
     KernelRuntime& rt = kernel_rt_[kernel_id];
-    const std::shared_ptr<const isa::KernelImage> img_sp =
-        config_.kernel_ptr(kernel_id);
     for (unsigned c = 0; c < arch::kNumColumns; ++c) {
       if (isa::contains(img.columns, c)) {
         if (rt.dec[c] == nullptr) {
-          rt.dec[c] = std::make_shared<const Column::DecodedProgram>(
-              Column::decode_program(img.program[c]));
+          rt.dec[c] = trace_cache().decoded(trace_variant_, img.program[c]);
         }
-        // Alias the image's program (no copy on reload).
-        column(c).load_program(
-            std::shared_ptr<const isa::ColumnProgram>(img_sp, &img.program[c]),
-            rt.dec[c]);
+        column(c).load_program(rt.dec[c]);
         if (exec_mode_ == ExecMode::kTraceCache) {
           if (rt.trace[c] == nullptr) {
             rt.trace[c] =
@@ -112,7 +106,6 @@ void Vwr2a::step() {
   // cross-column operands observe a consistent pre-cycle state.
   const Column::RcOutputs outs0 = col0_.rc_outputs();
   const Column::RcOutputs outs1 = col1_.rc_outputs();
-  spm_.begin_cycle();
   if (col0_.running()) col0_.step(synced ? &outs1 : nullptr);
   if (col1_.running()) col1_.step(synced ? &outs0 : nullptr);
   advance(1);

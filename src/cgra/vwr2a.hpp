@@ -190,7 +190,7 @@ class Vwr2a {
   /// switches (the per-launch common case in multi-kernel applications)
   /// alias instead of re-decoding / re-hashing on every reload.
   struct KernelRuntime {
-    std::array<std::shared_ptr<const Column::DecodedProgram>,
+    std::array<std::shared_ptr<const DecodedProgram>,
                arch::kNumColumns> dec{};
     std::array<std::shared_ptr<const CompiledTrace>, arch::kNumColumns> trace{};
     /// Compiled sync schedule for this kernel's trace pair (recomputed from

@@ -15,8 +15,8 @@ class SimError : public std::runtime_error {
   explicit SimError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// A structural hazard: two units contended for a single-ported resource
-/// (SRF port, VWR write port, SPM array port) in the same cycle.
+/// A structural hazard: two units of one VLIW line contended for a
+/// single-ported resource (SRF port, VWR write port) in the same cycle.
 class StructuralHazard : public SimError {
  public:
   explicit StructuralHazard(const std::string& what) : SimError(what) {}

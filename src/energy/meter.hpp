@@ -20,6 +20,14 @@ struct EventDelta {
   std::uint64_t n = 0;
 };
 
+/// The compact per-line form of EventDelta: `n` occurrences of `e` in one
+/// execution of one VLIW line (cgra/line.hpp keeps a short list per line of
+/// every decoded program, so the entry stays two bytes).
+struct LineDelta {
+  Event e = Event::kCount;
+  std::uint8_t n = 0;
+};
+
 /// Counts architectural events and converts them to energy. One meter per
 /// engine (VWR2A, FFT accelerator, CPU, system) keeps the Table-3 style
 /// breakdowns separable; meters can be merged for SoC-level totals.
@@ -38,6 +46,11 @@ class EnergyMeter {
     for (const EventDelta& d : deltas) {
       counts_[static_cast<unsigned>(d.e)] += d.n * times;
     }
+  }
+
+  /// Records one execution of a line's events (see LineDelta).
+  void add_block(std::span<const LineDelta> deltas) {
+    for (const LineDelta& d : deltas) counts_[static_cast<unsigned>(d.e)] += d.n;
   }
 
   /// Occurrences recorded for e.

@@ -41,13 +41,6 @@ class ConfigMem {
     return *kernels_[id];
   }
 
-  /// Shared ownership of the image for `id` (lets the synchronizer alias
-  /// per-column programs without copying them on every reload).
-  std::shared_ptr<const isa::KernelImage> kernel_ptr(unsigned id) const {
-    if (id >= kernels_.size()) throw HostError("ConfigMem: bad kernel id");
-    return kernels_[id];
-  }
-
   /// Number of registered kernels.
   unsigned size() const { return static_cast<unsigned>(kernels_.size()); }
 

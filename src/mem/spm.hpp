@@ -7,14 +7,15 @@
 // Array-side banking: the SPM is built by concatenating narrow macros
 // (Sec 5.1.1); this model gives each column its own row access per cycle
 // (per-column banking), which is what lets the two columns run synchronized
-// kernels with identical LSU schedules. One row access per column per cycle
-// is enforced; the LSU can only issue one operation per cycle anyway, so a
-// violation indicates a simulator bug rather than a kernel bug.
+// kernels with identical LSU schedules. The LSU is a column's only array-
+// side client and issues one operation per VLIW line, so one access per
+// column per cycle holds by construction. Array-side accesses carry no
+// energy here: a column charges each line's events as one block
+// (cgra/line.hpp).
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/status.hpp"
@@ -31,46 +32,6 @@ class Spm {
   explicit Spm(energy::EnergyMeter& meter) : meter_(&meter) {
     data_.resize(arch::kSpmWords, 0);
     row_version_.resize(arch::kSpmRows, 0);
-  }
-
-  /// Resets per-cycle port bookkeeping (array side).
-  void begin_cycle() { array_port_used_.fill(false); }
-
-  /// Array-side row read (into a VWR), by column `col`.
-  Row read_row(unsigned col, unsigned row) {
-    claim_array_port(col, "row read");
-    check_row(row);
-    meter_->add(energy::Event::kSpmRowRead);
-    Row out;
-    std::copy_n(data_.begin() + row * arch::kVwrWords, arch::kVwrWords,
-                out.begin());
-    return out;
-  }
-
-  /// Array-side row write (from a VWR).
-  void write_row(unsigned col, unsigned row, const Row& v) {
-    claim_array_port(col, "row write");
-    check_row(row);
-    meter_->add(energy::Event::kSpmRowWrite);
-    touch_row(row);
-    std::copy_n(v.begin(), arch::kVwrWords, data_.begin() + row * arch::kVwrWords);
-  }
-
-  /// Array-side scalar read (LSU -> SRF path). Uses the column's row port.
-  Word read_word_array(unsigned col, unsigned word) {
-    claim_array_port(col, "word read");
-    check_word(word);
-    meter_->add(energy::Event::kSpmRowRead);
-    return data_[word];
-  }
-
-  /// Array-side scalar write (SRF -> SPM path).
-  void write_word_array(unsigned col, unsigned word, Word v) {
-    claim_array_port(col, "word write");
-    check_word(word);
-    meter_->add(energy::Event::kSpmRowWrite);
-    touch_row(word / arch::kVwrWords);
-    data_[word] = v;
   }
 
   /// System-side word read (DMA out). Independent interface.
@@ -146,38 +107,43 @@ class Spm {
     }
   }
 
-  // --- trace-replay backdoors -------------------------------------------------
-  // Direct array access for trace-cache replay: port claims are skipped
-  // (the compiler proved the schedule hazard-free) and energy is charged in
-  // pre-aggregated blocks by the replayer. Writes still advance the row
-  // stamps -- the residency/dedup machinery must observe identical write
-  // sets in both execution modes. Range checks throw the same errors as the
-  // accounted paths so malformed address arithmetic behaves identically.
+  // --- array side ------------------------------------------------------------
+  // The columns' LSU path. Range checks throw RangeError; writes advance the
+  // row stamps like every other write path.
 
   /// Row data pointer for a whole-row read.
-  const Word* trace_row(unsigned row) const {
+  const Word* array_row(unsigned row) const {
     check_row(row);
     return data_.data() + row * arch::kVwrWords;
   }
 
   /// Whole-row write.
-  void trace_write_row(unsigned row, const Row& v) {
+  void array_write_row(unsigned row, const Row& v) {
     check_row(row);
     touch_row(row);
     std::copy_n(v.begin(), arch::kVwrWords, data_.begin() + row * arch::kVwrWords);
   }
 
   /// Scalar word read (LSU -> SRF path).
-  Word trace_read_word(unsigned word) const {
+  Word array_read_word(unsigned word) const {
     check_word(word);
     return data_[word];
   }
 
   /// Scalar word write (SRF -> SPM path).
-  void trace_write_word(unsigned word, Word v) {
+  void array_write_word(unsigned word, Word v) {
     check_word(word);
     touch_row(word / arch::kVwrWords);
     data_[word] = v;
+  }
+
+  /// Range checks of the array-side addresses, exposed so a column can
+  /// fault a line before it changes any state.
+  static void check_row(unsigned row) {
+    if (row >= arch::kSpmRows) throw RangeError("SPM: row out of range");
+  }
+  static void check_word(unsigned word) {
+    if (word >= arch::kSpmWords) throw RangeError("SPM: word out of range");
   }
 
   // --- rollback support -------------------------------------------------------
@@ -239,28 +205,10 @@ class Spm {
  private:
   void touch_row(unsigned row) { row_version_[row] = ++write_gen_; }
 
-  void claim_array_port(unsigned col, const char* what) {
-    if (col >= arch::kNumColumns) throw RangeError("SPM: bad column id");
-    if (array_port_used_[col]) {
-      throw StructuralHazard(std::string("SPM: second array-side ") + what +
-                             " by column " + std::to_string(col) +
-                             " in one cycle");
-    }
-    array_port_used_[col] = true;
-  }
-
-  static void check_row(unsigned row) {
-    if (row >= arch::kSpmRows) throw RangeError("SPM: row out of range");
-  }
-  static void check_word(unsigned word) {
-    if (word >= arch::kSpmWords) throw RangeError("SPM: word out of range");
-  }
-
   energy::EnergyMeter* meter_;
   std::vector<Word> data_;
   std::vector<std::uint64_t> row_version_;
   std::uint64_t write_gen_ = 0;
-  std::array<bool, arch::kNumColumns> array_port_used_{};
 };
 
 } // namespace vwr2a::mem

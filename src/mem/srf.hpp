@@ -2,54 +2,26 @@
 // Scalar register file: 8 x 32-bit, single-ported (paper Sec 3.2). One
 // address per cycle across all units of the column; several consumers may
 // observe the same read (the data bus broadcasts), but a second address --
-// read or write -- in the same cycle is a structural hazard.
+// read or write -- in the same cycle is a structural hazard. The port rule
+// is a property of each VLIW line and is checked once per loaded program
+// (cgra/line.hpp); the register file itself is plain storage.
 
 #include <array>
-#include <cstdint>
-#include <optional>
-#include <string>
 
 #include "common/status.hpp"
 #include "common/types.hpp"
-#include "energy/meter.hpp"
 
 namespace vwr2a::mem {
 
 /// The per-column scalar register file.
 class Srf {
  public:
-  explicit Srf(energy::EnergyMeter& meter) : meter_(&meter) {}
+  /// Datapath access. Configuration fields address the SRF with 3 bits, so
+  /// every datapath index is in range.
+  std::array<Word, arch::kSrfEntries>& regs() { return regs_; }
+  const std::array<Word, arch::kSrfEntries>& regs() const { return regs_; }
 
-  /// Resets per-cycle port bookkeeping.
-  void begin_cycle() {
-    cycle_addr_.reset();
-    cycle_was_write_ = false;
-  }
-
-  /// Reads entry `idx` through the single port.
-  Word read(unsigned idx) {
-    check(idx);
-    claim(idx, /*is_write=*/false);
-    meter_->add(energy::Event::kSrfRead);
-    return regs_[idx];
-  }
-
-  /// Writes entry `idx` through the single port.
-  void write(unsigned idx, Word v) {
-    check(idx);
-    claim(idx, /*is_write=*/true);
-    meter_->add(energy::Event::kSrfWrite);
-    regs_[idx] = v;
-  }
-
-  // --- trace-replay backdoor --------------------------------------------------
-  // Direct register access for trace-cache replay (port schedule validated
-  // and energy pre-aggregated at trace-compile time).
-  Word trace_read(unsigned idx) const { return regs_[idx]; }
-  void trace_write(unsigned idx, Word v) { regs_[idx] = v; }
-  std::array<Word, arch::kSrfEntries>& trace_regs() { return regs_; }
-
-  /// Debug/testing backdoor (host-side initialization), no port accounting.
+  /// Debug/testing backdoor (host-side initialization), range-checked.
   Word peek(unsigned idx) const {
     check(idx);
     return regs_[idx];
@@ -64,23 +36,7 @@ class Srf {
     if (idx >= arch::kSrfEntries) throw RangeError("SRF: index out of range");
   }
 
-  void claim(unsigned idx, bool is_write) {
-    if (!cycle_addr_.has_value()) {
-      cycle_addr_ = idx;
-      cycle_was_write_ = is_write;
-      return;
-    }
-    // Same-address repeated reads share the broadcast; anything else is a
-    // port conflict on the single-ported SRF.
-    if (*cycle_addr_ == idx && !cycle_was_write_ && !is_write) return;
-    throw StructuralHazard("SRF: port conflict (single-ported, one address "
-                           "per cycle per column)");
-  }
-
-  energy::EnergyMeter* meter_;
   std::array<Word, arch::kSrfEntries> regs_{};
-  std::optional<unsigned> cycle_addr_;
-  bool cycle_was_write_ = false;
 };
 
 } // namespace vwr2a::mem

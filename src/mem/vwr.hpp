@@ -8,16 +8,14 @@
 // either one whole-row write (LSU load or shuffle result) or any set of
 // word writes from RCs (each RC owns a disjoint slice, so the row write
 // combines the per-slice write enables). Mixing a row write and RC word
-// writes in the same cycle is a structural hazard.
+// writes in the same cycle is a structural hazard. The port rule is a
+// property of each VLIW line and is checked once per loaded program
+// (cgra/line.hpp); the register itself is plain storage.
 
 #include <array>
-#include <cstdint>
-#include <span>
-#include <string>
 
 #include "common/status.hpp"
 #include "common/types.hpp"
-#include "energy/meter.hpp"
 
 namespace vwr2a::mem {
 
@@ -26,70 +24,21 @@ class Vwr {
  public:
   using Row = std::array<Word, arch::kVwrWords>;
 
-  Vwr(std::string name, energy::EnergyMeter& meter)
-      : name_(std::move(name)), meter_(&meter) {}
+  /// The latch array: slice s, word i lives at s * kSliceWords + i.
+  Row& row() { return row_; }
+  const Row& row() const { return row_; }
 
-  /// Resets per-cycle port bookkeeping. Called by the column each cycle.
-  void begin_cycle() {
-    row_written_ = false;
-    word_written_ = false;
-  }
-
-  /// Datapath read of word `index` of slice `slice` (mux network; free port).
-  Word read_word(unsigned slice, unsigned index) const {
-    check_word(slice, index);
-    meter_->add(energy::Event::kVwrWordRead);
-    return row_[slice * arch::kSliceWords + index];
-  }
-
-  /// RC write-back of one word into slice `slice` at `index`.
-  void write_word(unsigned slice, unsigned index, Word v) {
-    check_word(slice, index);
-    if (row_written_) {
-      throw StructuralHazard("VWR " + name_ +
-                             ": word write collides with row write");
-    }
-    word_written_ = true;
-    meter_->add(energy::Event::kVwrWordWrite);
-    row_[slice * arch::kSliceWords + index] = v;
-  }
-
-  /// Whole-row write (LSU load from SPM or shuffle-unit result).
-  void write_row(const Row& data) {
-    if (row_written_ || word_written_) {
-      throw StructuralHazard("VWR " + name_ + ": second write in one cycle");
-    }
-    row_written_ = true;
-    meter_->add(energy::Event::kVwrRowWrite);
-    row_ = data;
-  }
-
-  /// Whole-row read (LSU store to SPM or shuffle-unit source). The latch
-  /// outputs are continuously available; no port or energy is charged beyond
-  /// the consumer's own cost.
-  const Row& read_row() const { return row_; }
-
-  // --- trace-replay backdoor --------------------------------------------------
-  // Direct access to the latch array for trace-cache replay: the compiler
-  // has already validated the port schedule and pre-aggregated the energy
-  // events, so replay reads/writes the row storage directly.
-  Row& trace_row() { return row_; }
-  const Row& trace_row() const { return row_; }
-
-  /// Debug/testing backdoor: writes without port accounting or energy.
+  /// Debug/testing backdoor: writes one word of slice `slice`.
   void poke(unsigned slice, unsigned index, Word v) {
     check_word(slice, index);
     row_[slice * arch::kSliceWords + index] = v;
   }
 
-  /// Debug/testing backdoor: reads without energy accounting.
+  /// Debug/testing backdoor: reads one word of slice `slice`.
   Word peek(unsigned slice, unsigned index) const {
     check_word(slice, index);
     return row_[slice * arch::kSliceWords + index];
   }
-
-  /// Debug name ("col0.A", ...).
-  const std::string& name() const { return name_; }
 
  private:
   static void check_word(unsigned slice, unsigned index) {
@@ -97,11 +46,7 @@ class Vwr {
     if (index >= arch::kSliceWords) throw RangeError("VWR: bad word index");
   }
 
-  std::string name_;
-  energy::EnergyMeter* meter_;
   Row row_{};
-  bool row_written_ = false;
-  bool word_written_ = false;
 };
 
 } // namespace vwr2a::mem

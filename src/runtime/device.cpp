@@ -469,7 +469,7 @@ std::vector<std::uint8_t> Device::checkpoint() const {
     SpmRowImage row;
     row.row = app::kMaskRowFirst + r;
     row.stamp = spm.row_version(row.row);
-    const Word* data = spm.trace_row(row.row);
+    const Word* data = spm.array_row(row.row);
     std::copy_n(data, arch::kVwrWords, row.data.begin());
     c.spm_rows.push_back(row);
   }

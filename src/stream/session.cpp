@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <utility>
 
@@ -79,8 +80,13 @@ runtime::Job Session::make_job(WindowView window) {
     job.work = runtime::BioTrackerJob{cfg_.target, std::move(window.segment),
                                       window.offset};
   }
-  job.tag = "s" + std::to_string(id_) + "/w" +
-            std::to_string(stats_.windows_submitted);
+  // Formatted in place: building it from std::to_string pieces trips a
+  // GCC 12 -Wrestrict false positive in the inlined string insert.
+  char tag[48];
+  std::snprintf(tag, sizeof tag, "s%llu/w%llu",
+                static_cast<unsigned long long>(id_),
+                static_cast<unsigned long long>(stats_.windows_submitted));
+  job.tag = tag;
   job.pin = static_cast<int>(device_);
   // Flight-recorder correlation id: stable across the window's whole life
   // (placement, queue, device run, completion, delivery). windows_submitted

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <typeinfo>
+#include <vector>
+
 #include "bus/ahb.hpp"
 #include "casm/builder.hpp"
 #include "casm/factories.hpp"
@@ -346,6 +351,188 @@ TEST(Column, BranchTakesEffectNextCycle) {
   pb.line().lcu(lcu_exit()).emit();
   rig.run(pb.build());
   EXPECT_EQ(rig.acc.column(0).rc_state(0).rf[0], 0u);
+}
+
+// --- precise faults -------------------------------------------------------------
+// A faulting line raises its documented error when it executes and changes
+// nothing: column state, SPM data and row stamps, cycle count and meter
+// counts are exactly what the previous line left. The trace engine falls
+// back to the interpreter and surfaces the same error and state.
+
+/// Everything a faulting line must leave untouched, flattened.
+std::vector<std::uint64_t> observe(Vwr2a& acc) {
+  std::vector<std::uint64_t> v;
+  for (unsigned c = 0; c < arch::kNumColumns; ++c) {
+    Column::Checkpoint ck;
+    acc.column(c).save_state(ck);
+    for (const auto& row : ck.vwr) v.insert(v.end(), row.begin(), row.end());
+    v.insert(v.end(), ck.srf.begin(), ck.srf.end());
+    for (const RcState& rc : ck.rcs) v.insert(v.end(), rc.rf.begin(), rc.rf.end());
+    v.insert(v.end(), ck.rc_prev.begin(), ck.rc_prev.end());
+    v.insert(v.end(), ck.lcu_rf.begin(), ck.lcu_rf.end());
+    v.insert(v.end(), ck.lsu_ptr.begin(), ck.lsu_ptr.end());
+    v.insert(v.end(), {ck.idx, static_cast<std::uint64_t>(ck.aux), ck.pc,
+                       ck.running, ck.executed});
+  }
+  for (unsigned w = 0; w < arch::kSpmWords; ++w) v.push_back(acc.spm().peek(w));
+  for (unsigned r = 0; r < arch::kSpmRows; ++r) v.push_back(acc.spm().row_version(r));
+  v.push_back(acc.spm().write_gen());
+  for (unsigned e = 0; e < static_cast<unsigned>(energy::Event::kCount); ++e) {
+    v.push_back(acc.meter().count(static_cast<energy::Event>(e)));
+  }
+  v.push_back(acc.cycles());
+  return v;
+}
+
+/// Index of the first difference, or -1.
+long first_diff(const std::vector<std::uint64_t>& a,
+                const std::vector<std::uint64_t>& b) {
+  if (a.size() != b.size()) return static_cast<long>(std::min(a.size(), b.size()));
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) return static_cast<long>(i);
+  }
+  return -1;
+}
+
+/// Runs `fn`, expecting a SimError of exactly type Ex with message `what`.
+template <class Ex, class Fn>
+void expect_fault(Fn&& fn, const std::string& what, const std::string& ctx) {
+  try {
+    fn();
+    ADD_FAILURE() << ctx << ": no fault";
+  } catch (const SimError& e) {
+    EXPECT_EQ(typeid(e), typeid(Ex)) << ctx << ": " << e.what();
+    EXPECT_EQ(std::string(e.what()), what) << ctx;
+  }
+}
+
+/// Steps `prog` (column 0) interpreted up to `fault_pc`, then checks the
+/// line there faults with Ex/`what` and leaves everything unchanged; then
+/// runs the same kernel on a trace-cache block and checks it ends in the
+/// same error and state. `setup` prepares both blocks identically.
+template <class Ex>
+void expect_precise_fault(const isa::ColumnProgram& prog, unsigned fault_pc,
+                          const std::string& what,
+                          void (*setup)(Vwr2a&) = [](Vwr2a&) {}) {
+  Rig ri;
+  setup(ri.acc);
+  const unsigned ki = ri.acc.register_kernel(make_kernel("f", 0, prog));
+  ri.acc.start_kernel(ki);
+  for (int guard = 0; ri.acc.column(0).pc() != fault_pc; ++guard) {
+    ASSERT_LT(guard, 1000) << "never reached pc " << fault_pc;
+    ri.acc.step();
+  }
+  const std::vector<std::uint64_t> before = observe(ri.acc);
+  expect_fault<Ex>([&] { ri.acc.step(); }, what, "interpreter");
+  EXPECT_EQ(first_diff(before, observe(ri.acc)), -1)
+      << "the faulting line changed state";
+  ASSERT_TRUE(ri.acc.column(0).running());
+
+  Rig rt;
+  rt.acc.set_exec_mode(ExecMode::kTraceCache);
+  setup(rt.acc);
+  const unsigned kt = rt.acc.register_kernel(make_kernel("f", 0, prog));
+  expect_fault<Ex>([&] { rt.acc.run_kernel(kt); }, what, "trace cache");
+  EXPECT_EQ(first_diff(before, observe(rt.acc)), -1)
+      << "the trace fallback ended in a different state";
+}
+
+/// A first line that changes column state and energy, so "unchanged"
+/// below is measured against a non-trivial state.
+void emit_prologue(ProgramBuilder& pb) {
+  pb.line()
+      .lcu(lcu_set(1, 9))
+      .mxcu(mxcu_set_idx(3))
+      .rc_all(rc_mv(isa::RcDst::kR0, isa::RcSrc::kImm, 0, 5))
+      .emit();
+}
+
+TEST(PreciseFault, StaticPortHazards) {
+  {
+    ProgramBuilder pb;  // two SRF addresses
+    emit_prologue(pb);
+    pb.line()
+        .lcu(lcu_add(1, 1))
+        .rc(0, rc_mv(isa::RcDst::kR1, isa::RcSrc::kSrf, 1))
+        .rc(1, rc_mv(isa::RcDst::kR1, isa::RcSrc::kSrf, 2))
+        .emit();
+    pb.line().lcu(lcu_exit()).emit();
+    expect_precise_fault<StructuralHazard>(
+        pb.build(), 1,
+        "SRF: port conflict (single-ported, one address per cycle per column)");
+  }
+  {
+    ProgramBuilder pb;  // SRF write beside a read of the same entry
+    emit_prologue(pb);
+    pb.line()
+        .rc(0, rc_mv(isa::RcDst::kSrf, isa::RcSrc::kOne, 4))
+        .rc(1, rc_mv(isa::RcDst::kR1, isa::RcSrc::kSrf, 4))
+        .emit();
+    pb.line().lcu(lcu_exit()).emit();
+    expect_precise_fault<StructuralHazard>(
+        pb.build(), 1,
+        "SRF: port conflict (single-ported, one address per cycle per column)");
+  }
+  {
+    ProgramBuilder pb;  // LSU row write and RC word write into VWR B
+    emit_prologue(pb);
+    pb.line()
+        .lsu(lsu_ld_vwr(VwrSel::B, 2))
+        .rc(2, rc_mv(isa::RcDst::kVwrB, isa::RcSrc::kOne))
+        .emit();
+    pb.line().lcu(lcu_exit()).emit();
+    expect_precise_fault<StructuralHazard>(
+        pb.build(), 1,
+        "VWR B: row write and RC word write in one cycle (single write port)");
+  }
+}
+
+TEST(PreciseFault, UndecodableField) {
+  ProgramBuilder pb;
+  emit_prologue(pb);
+  pb.line().lcu(lcu_add(1, 1)).rc_all(rc_mv(isa::RcDst::kR1, isa::RcSrc::kOne)).emit();
+  pb.line().lcu(lcu_exit()).emit();
+  isa::ColumnProgram prog = pb.build();
+  prog.patch(rc_slot(2), 1, 0xFFFFFFFFu);  // RC opcode field out of range
+  expect_precise_fault<DecodeError>(prog, 1, "isa decode: bad field RC opcode");
+}
+
+TEST(PreciseFault, LsuAddressOutOfRange) {
+  ProgramBuilder pb;
+  emit_prologue(pb);
+  pb.line().lsu(lsu_setptr(0, 0)).emit();  // P0 = SRF0 = 9000
+  // Word 9000 is past the SPM; the post-increment must not land either.
+  pb.line()
+      .lsu(lsu_ld_srf_ptr(1, 0, 2))
+      .lcu(lcu_add(1, 1))
+      .rc_all(rc_mv(isa::RcDst::kR1, isa::RcSrc::kOne))
+      .emit();
+  pb.line().lcu(lcu_exit()).emit();
+  expect_precise_fault<RangeError>(pb.build(), 2, "SPM: word out of range",
+                                   [](Vwr2a& acc) { acc.host_write_srf(0, 0, 9000); });
+}
+
+TEST(PreciseFault, CrossOperandWithoutPartner) {
+  ProgramBuilder pb;
+  emit_prologue(pb);
+  pb.line()
+      .rc(0, rc_mv(isa::RcDst::kR1, isa::RcSrc::kOne))
+      .rc(1, rc_mv(isa::RcDst::kR1, isa::RcSrc::kRcCross))
+      .emit();
+  pb.line().lcu(lcu_exit()).emit();
+  expect_precise_fault<SimError>(
+      pb.build(), 1,
+      "RC: kRcCross operand used without a synchronized partner column");
+}
+
+TEST(PreciseFault, BranchPastEnd) {
+  ProgramBuilder pb;
+  emit_prologue(pb);
+  isa::LcuInstr br = lcu_beq_imm(1, 9);  // taken: r1 == 9
+  br.target = 40;                        // past the 3-line program
+  pb.line().lcu(br).rc_all(rc_mv(isa::RcDst::kR1, isa::RcSrc::kOne)).emit();
+  pb.line().lcu(lcu_exit()).emit();
+  expect_precise_fault<SimError>(pb.build(), 1, "Column: branch past end of program");
 }
 
 } // namespace

@@ -667,7 +667,9 @@ TEST(Gateway, StatsSubscribeDeliversPushesWithoutPolling) {
     EXPECT_EQ(pushes.size(), settled);
     ASSERT_GE(pushes.size(), 4u);
     for (std::size_t i = 0; i < pushes.size(); ++i) {
-      if (i > 0) EXPECT_EQ(pushes[i].seq, pushes[i - 1].seq + 1);
+      if (i > 0) {
+        EXPECT_EQ(pushes[i].seq, pushes[i - 1].seq + 1);
+      }
       EXPECT_EQ(pushes[i].devices.size(), 2u);
       EXPECT_EQ(pushes[i].stats.devices, 2u);
     }

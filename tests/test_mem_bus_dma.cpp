@@ -1,9 +1,13 @@
-// Memory structures, bus and DMA models: port rules, ranges, strides,
-// timing formulas, bank gating, configuration-memory accounting.
+// Memory structures, bus and DMA models: port rules (checked per VLIW
+// line), ranges, strides, timing formulas, bank gating, configuration-memory
+// accounting.
 
 #include <gtest/gtest.h>
 
 #include "bus/ahb.hpp"
+#include "casm/builder.hpp"
+#include "casm/factories.hpp"
+#include "cgra/line.hpp"
 #include "common/status.hpp"
 #include "dma/dma.hpp"
 #include "energy/meter.hpp"
@@ -17,78 +21,110 @@
 namespace vwr2a::mem {
 namespace {
 
-TEST(Vwr, WordReadWriteAndSliceView) {
-  energy::EnergyMeter m;
-  Vwr v("t", m);
-  v.begin_cycle();
-  v.write_word(2, 5, 77);
+TEST(Vwr, SliceViewAndRangeChecks) {
+  Vwr v;
+  v.poke(2, 5, 77);
   EXPECT_EQ(v.peek(2, 5), 77u);
-  v.begin_cycle();
-  EXPECT_EQ(v.read_word(2, 5), 77u);
-  EXPECT_THROW(v.read_word(4, 0), RangeError);
-  EXPECT_THROW(v.read_word(0, 32), RangeError);
+  EXPECT_EQ(v.row()[2 * arch::kSliceWords + 5], 77u);
+  EXPECT_THROW(v.peek(4, 0), RangeError);
+  EXPECT_THROW(v.peek(0, 32), RangeError);
 }
 
-TEST(Vwr, RowWriteAfterWordWriteThrows) {
-  energy::EnergyMeter m;
-  Vwr v("t", m);
-  v.begin_cycle();
-  v.write_word(0, 0, 1);
-  EXPECT_THROW(v.write_row(Vwr::Row{}), StructuralHazard);
-}
-
-TEST(Vwr, TwoRowWritesThrow) {
-  energy::EnergyMeter m;
-  Vwr v("t", m);
-  v.begin_cycle();
-  v.write_row(Vwr::Row{});
-  EXPECT_THROW(v.write_row(Vwr::Row{}), StructuralHazard);
-}
-
-TEST(Vwr, SliceWritesFromAllRcsSameCycleOk) {
-  energy::EnergyMeter m;
-  Vwr v("t", m);
-  v.begin_cycle();
-  for (unsigned r = 0; r < 4; ++r) v.write_word(r, 3, r);
-  for (unsigned r = 0; r < 4; ++r) EXPECT_EQ(v.peek(r, 3), r);
-}
-
-TEST(Spm, PerColumnPortsAreIndependent) {
-  energy::EnergyMeter m;
-  Spm spm(m);
-  spm.begin_cycle();
-  spm.read_row(0, 3);
-  spm.read_row(1, 3);  // other column, same cycle: fine
-  EXPECT_THROW(spm.read_row(0, 4), StructuralHazard);
+TEST(Srf, BackdoorRangeChecks) {
+  Srf s;
+  s.poke(7, 5);
+  EXPECT_EQ(s.peek(7), 5u);
+  EXPECT_EQ(s.regs()[7], 5u);
+  EXPECT_THROW(s.peek(arch::kSrfEntries), RangeError);
+  EXPECT_THROW(s.poke(arch::kSrfEntries, 0), RangeError);
 }
 
 TEST(Spm, SystemSideIndependentOfArraySide) {
   energy::EnergyMeter m;
   Spm spm(m);
-  spm.begin_cycle();
-  spm.read_row(0, 0);
+  spm.array_write_word(3, 11);   // LSU path
   spm.write_word_system(5, 99);  // DMA port, same cycle: fine
+  EXPECT_EQ(spm.peek(3), 11u);
   EXPECT_EQ(spm.peek(5), 99u);
+  EXPECT_EQ(spm.array_row(0)[5], 99u);
 }
 
 TEST(Spm, RangeChecks) {
   energy::EnergyMeter m;
   Spm spm(m);
-  spm.begin_cycle();
-  EXPECT_THROW(spm.read_row(0, arch::kSpmRows), RangeError);
+  EXPECT_THROW(spm.array_row(arch::kSpmRows), RangeError);
+  EXPECT_THROW(spm.array_read_word(arch::kSpmWords), RangeError);
   EXPECT_THROW(spm.write_word_system(arch::kSpmWords, 0), RangeError);
 }
 
-TEST(Srf, OneAddressPerCycle) {
-  energy::EnergyMeter m;
-  Srf s(m);
-  s.begin_cycle();
-  s.read(3);
-  s.read(3);  // same-address broadcast
-  EXPECT_THROW(s.read(4), StructuralHazard);
-  s.begin_cycle();
-  s.write(1, 5);
-  EXPECT_THROW(s.read(1), StructuralHazard);  // read+write same cycle
+// --- port rules, decided per VLIW line (cgra/line.hpp) ------------------------
+
+/// Analyzes the first line of a one-line program.
+cgra::DecodedLine analyze(casm::ProgramBuilder::LineBuilder line) {
+  return cgra::decode_line(line.emit().build(), 0);
+}
+
+TEST(LinePorts, SrfSecondAddressConflicts) {
+  using namespace casm;
+  casm::ProgramBuilder pb;
+  const cgra::DecodedLine L =
+      analyze(pb.line()
+                  .rc(0, rc_mv(isa::RcDst::kR0, isa::RcSrc::kSrf, 3))
+                  .rc(1, rc_mv(isa::RcDst::kR0, isa::RcSrc::kSrf, 4)));
+  EXPECT_EQ(L.fault, cgra::LineFault::kHazard);
+  EXPECT_EQ(L.fault_what,
+            "SRF: port conflict (single-ported, one address per cycle per column)");
+}
+
+TEST(LinePorts, SrfSameAddressReadsShareTheBroadcast) {
+  using namespace casm;
+  casm::ProgramBuilder pb;
+  const cgra::DecodedLine L =
+      analyze(pb.line()
+                  .lcu(lcu_mv_srf(0, 3))
+                  .rc_all(rc_mv(isa::RcDst::kR0, isa::RcSrc::kSrf, 3)));
+  EXPECT_EQ(L.fault, cgra::LineFault::kNone);
+}
+
+TEST(LinePorts, SrfReadPlusWriteConflicts) {
+  using namespace casm;
+  casm::ProgramBuilder pb;
+  // One address, but a write beside a read: the port is single.
+  const cgra::DecodedLine L =
+      analyze(pb.line()
+                  .rc(0, rc_mv(isa::RcDst::kSrf, isa::RcSrc::kOne, 1))
+                  .rc(1, rc_mv(isa::RcDst::kR0, isa::RcSrc::kSrf, 1)));
+  EXPECT_EQ(L.fault, cgra::LineFault::kHazard);
+}
+
+TEST(LinePorts, VwrRowWriteAndWordWriteCollide) {
+  using namespace casm;
+  casm::ProgramBuilder pb;
+  const cgra::DecodedLine L =
+      analyze(pb.line()
+                  .lsu(lsu_ld_vwr(VwrSel::A, 0))
+                  .rc(0, rc_mv(isa::RcDst::kVwrA, isa::RcSrc::kOne)));
+  EXPECT_EQ(L.fault, cgra::LineFault::kHazard);
+  EXPECT_EQ(L.fault_what,
+            "VWR A: row write and RC word write in one cycle (single write "
+            "port)");
+  // The shuffle result is a row write into VWR C.
+  casm::ProgramBuilder pb2;
+  EXPECT_EQ(analyze(pb2.line()
+                        .lsu(lsu_shuf(isa::ShufMode::kEvenPrune))
+                        .rc(3, rc_mv(isa::RcDst::kVwrC, isa::RcSrc::kOne)))
+                .fault,
+            cgra::LineFault::kHazard);
+}
+
+TEST(LinePorts, SliceWritesFromAllRcsAndRowWriteElsewhereAreLegal) {
+  using namespace casm;
+  casm::ProgramBuilder pb;
+  const cgra::DecodedLine L =
+      analyze(pb.line()
+                  .lsu(lsu_ld_vwr(VwrSel::A, 0))
+                  .rc_all(rc_mv(isa::RcDst::kVwrB, isa::RcSrc::kVwrA)));
+  EXPECT_EQ(L.fault, cgra::LineFault::kNone);
 }
 
 TEST(Sram, BankGatingBlocksAccess) {

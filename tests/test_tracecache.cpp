@@ -92,7 +92,7 @@ void expect_identical(Rig& a, Rig& b, const std::string& what) {
     }
     for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
       ASSERT_EQ(ca.rc_state(r).rf, cb.rc_state(r).rf) << what << " col " << c;
-      ASSERT_EQ(ca.rc_state(r).out, cb.rc_state(r).out) << what << " col " << c;
+      ASSERT_EQ(ca.rc_outputs()[r], cb.rc_outputs()[r]) << what << " col " << c;
     }
     ASSERT_EQ(ca.mxcu_index(), cb.mxcu_index()) << what;
     ASSERT_EQ(ca.executed_cycles(), cb.executed_cycles()) << what;
