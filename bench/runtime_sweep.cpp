@@ -7,7 +7,9 @@
 //
 // Outputs are bit-identical across variants (the variants share the
 // functional model); only the modeled cycles/energy move, reproducing the
-// U-shape in energy*delay the paper reports for the VWR count.
+// U-shape in energy*delay the paper reports for the VWR count. Exits
+// nonzero on any cross-variant output mismatch, or unless vwr3 has the
+// lowest energy*delay of the three VWR counts at each SIMD width.
 
 #include <cstdio>
 #include <string>
@@ -122,20 +124,37 @@ int main() {
               "cycles", "energy uJ", "energy*delay");
   const double base_c = static_cast<double>(s.device_cycles[1]);
   const double base_e = s.device_pj[1] * 1e-6;
+  std::vector<double> edp(variants.size());
   for (std::size_t d = 0; d < variants.size(); ++d) {
     const double c = static_cast<double>(s.device_cycles[d]);
     const double e = s.device_pj[d] * 1e-6;
+    edp[d] = 100.0 * (c * e) / (base_c * base_e);
     std::printf("  %-14s | %6llu | %12.0f | %12.3f | %13.1f%%\n",
                 s.device_arch[d].name().c_str(),
                 static_cast<unsigned long long>(s.device_jobs[d]), c, e,
-                100.0 * (c * e) / (base_c * base_e));
+                edp[d]);
   }
   std::printf("  (energy*delay relative to the paper's vwr3.w32 design "
-              "point; the VWR-count U-shape of Sec 3.2 appears per column)\n");
+              "point)\n");
+
+  // The VWR-count U-shape: at each SIMD width (variants come in groups of
+  // vwr2, vwr3, vwr4), vwr3 must have the lowest energy*delay.
+  std::printf("\n  paper (Sec 3.2): \"After testing different "
+              "implementations, we found out that 3 VWRs represent a good "
+              "compromise between performance and energy efficiency.\"\n");
+  bool u_shape = true;
+  for (std::size_t g = 0; g < variants.size(); g += 3) {
+    const bool ok = edp[g + 1] < edp[g] && edp[g + 1] < edp[g + 2];
+    std::printf("  w%-2u energy*delay: vwr2 %.1f%% | vwr3 %.1f%% | vwr4 %.1f%%"
+                "  -> vwr3 lowest: %s\n",
+                variants[g].simd_width, edp[g], edp[g + 1], edp[g + 2],
+                ok ? "yes" : "NO");
+    u_shape = u_shape && ok;
+  }
   std::printf("  image cache: %llu hits, %llu misses, %zu images "
               "(namespaced per variant)\n",
               static_cast<unsigned long long>(s.image_cache.hits),
               static_cast<unsigned long long>(s.image_cache.misses),
               s.image_cache.entries);
-  return mismatches == 0 ? 0 : 1;
+  return mismatches == 0 && u_shape ? 0 : 1;
 }

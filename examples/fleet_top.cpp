@@ -4,7 +4,7 @@
 // initiates every frame) while 8 producer threads stream biosignals
 // through their own connections. Each push repaints:
 //   * the fleet scalar lines (jobs, makespan, energy, faults, and the
-//     replay tier mix: traced/batched launches + per-tier cycles);
+//     replay tier mix: traced launches, rollbacks + per-tier cycles);
 //   * per-device occupancy bars (device-local cycles relative to the
 //     busiest device), job counts and the health bitmap;
 //   * per-session window rates computed from consecutive pushes, plus the
@@ -127,10 +127,9 @@ int main() {
                 static_cast<unsigned long long>(p.stats.devices_failed),
                 static_cast<unsigned long long>(p.stats.devices_dead),
                 static_cast<unsigned long long>(p.stats.jobs_rescued));
-    std::printf("replay %llu traced (%llu batched, %llu rollbacks) | "
+    std::printf("replay %llu traced (%llu rollbacks) | "
                 "cy dec %llu / lock %llu / interp %llu | sync %llu\n\n",
                 static_cast<unsigned long long>(p.stats.traced_launches),
-                static_cast<unsigned long long>(p.stats.batched_launches),
                 static_cast<unsigned long long>(p.stats.traced_rollbacks),
                 static_cast<unsigned long long>(p.stats.replay_decoupled_cycles),
                 static_cast<unsigned long long>(p.stats.replay_lockstep_cycles),

@@ -302,37 +302,4 @@ SyncPlan make_sync_plan(const CompiledTrace* t0, const CompiledTrace* t1);
 
 } // namespace tc
 
-class Vwr2a;
-
-namespace tc {
-
-/// Fleet-batched replay: one compiled trace driven across N devices' SPM /
-/// VWR state in a single host loop (the Ara-style "one decode, many lanes"
-/// move lifted to the fleet dimension). Lanes advance block-lockstep --
-/// each superblock is dispatched once and executed across every aligned
-/// device back to back, with per-device trip counts in fused loops -- and
-/// any lane that diverges on a data-dependent branch, faults, or fails the
-/// post-hoc conflict check detaches and finishes through the standard
-/// scalar rollback ladder. Every lane's result is bit/cycle/energy-
-/// identical to devs[i]->run_kernel(kids[i]) run alone, so batching is
-/// invisible to everything but host wall-clock.
-struct BatchReplayer {
-  /// Batch-eligibility probe, side-effect free. True when `kernel_id` on
-  /// `dev` is warm (memoized compiled traces from a previous launch), fully
-  /// decoupled (SyncPlan::kDecoupled, no kRcCross, no runtime lockstep
-  /// hint) and trace-mode with no tracer attached. `key` receives the
-  /// per-column trace identities: two devices may share a batch iff their
-  /// keys are equal (the content-keyed TraceCache makes identical programs
-  /// pointer-identical fleet-wide).
-  static bool identity(const Vwr2a& dev, unsigned kernel_id,
-                       std::array<const void*, arch::kNumColumns>& key);
-
-  /// Runs kernel kids[i] on devs[i] for all n lanes. Requires every lane to
-  /// have passed identity() with equal keys; falls back to scalar
-  /// completion per lane otherwise (correct, just not batched).
-  static void run(Vwr2a* const* devs, const unsigned* kids, std::size_t n);
-};
-
-} // namespace tc
-
 } // namespace vwr2a::cgra

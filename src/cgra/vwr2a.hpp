@@ -128,19 +128,17 @@ class Vwr2a {
 
   /// Per-engine column-cycle counters: how much simulated work each replay
   /// tier carried. Decoupled covers free-running block replay (whole-kernel
-  /// decoupled runs, the free stretches of scheduled runs, and fleet-batched
-  /// replay); lockstep covers per-line sync blocks and the per-cycle
-  /// alternation tier; interpreted covers cycles stepped by the reference
-  /// interpreter (interpret mode, tracers, and replay fallbacks alike). A
-  /// kernel stuck on the slow tiers shows up here long before a profiler.
+  /// decoupled runs and the free stretches of scheduled runs); lockstep
+  /// covers per-line sync blocks and the per-cycle alternation tier;
+  /// interpreted covers cycles stepped by the reference interpreter
+  /// (interpret mode, tracers, and replay fallbacks alike). A kernel stuck
+  /// on the slow tiers shows up here long before a profiler.
   std::uint64_t replayed_decoupled_cycles() const { return replayed_decoupled_; }
   std::uint64_t replayed_lockstep_cycles() const { return replayed_lockstep_; }
   std::uint64_t interpreted_cycles() const { return interpreted_cycles_; }
 
-  /// Sync-block executions performed by scheduled replays, and kernel
-  /// launches completed through the fleet batch replayer.
+  /// Sync-block executions performed by scheduled replays.
   std::uint64_t sync_points() const { return sync_points_; }
-  std::uint64_t batched_launches() const { return batched_launches_; }
 
   /// Debug/benchmark knob: when set, two-column traced replays skip the
   /// decoupled and scheduled tiers and run the per-cycle lockstep tier
@@ -148,13 +146,11 @@ class Vwr2a {
   /// kernels. Results are identical by construction (lockstep is the
   /// conservative tier); only host-side replay throughput changes.
   /// Single-column replays are unaffected (free-running them is already
-  /// conflict-free). Also makes the device ineligible for fleet-batched
-  /// replay until cleared.
+  /// conflict-free).
   void set_replay_lockstep_only(bool on) { replay_lockstep_only_ = on; }
   bool replay_lockstep_only() const { return replay_lockstep_only_; }
 
  private:
-  friend struct tc::BatchReplayer;
   void advance(Cycle n);
   /// run_kernel body for ExecMode::kTraceCache: replays the kernel on the
   /// tier its compiled sync plan selects (decoupled free-run, scheduled
@@ -218,7 +214,6 @@ class Vwr2a {
   std::uint64_t replayed_lockstep_ = 0;
   std::uint64_t interpreted_cycles_ = 0;
   std::uint64_t sync_points_ = 0;
-  std::uint64_t batched_launches_ = 0;
   bool replay_lockstep_only_ = false;
 };
 

@@ -36,7 +36,7 @@ namespace vwr2a::gateway {
 /// + per-device and per-session load arrays), the router-tier feed that
 /// replaces polling.
 /// v5: STATS gained the replay-engine fields (traced_launches,
-/// traced_rollbacks, batched_launches, jobs_batched, and the per-tier
+/// traced_rollbacks, two fleet-batch counters, and the per-tier
 /// replayed-cycle / sync-point counters) -- which execution tier the
 /// fleet's accelerator work actually ran on.
 /// v6: WINDOW_RESULT gained the server-side span breakdown (queue_ns,
@@ -44,7 +44,9 @@ namespace vwr2a::gateway {
 /// -- the cross-wire trace propagation a remote client feeds into its
 /// local flight recorder. All five are 0 unless the server runs with
 /// obs spans enabled.
-inline constexpr std::uint8_t kProtocolVersion = 6;
+/// v7: STATS lost the two fleet-batch counters (fleet-batched replay was
+/// removed); nothing else changed.
+inline constexpr std::uint8_t kProtocolVersion = 7;
 /// Hard bound on one frame's payload; larger length prefixes are rejected
 /// before any allocation happens.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
@@ -181,15 +183,12 @@ struct Stats {
   std::uint64_t jobs_rescued = 0;
   std::uint64_t checkpoints_restored = 0;
   /// Replay-engine telemetry (v5): launches replayed from compiled traces,
-  /// replays rolled back by cross-column SPM conflicts, launches executed
-  /// through the fleet batch replayer (and jobs dispatched in SIMD-over-
-  /// devices groups), plus per-tier column-cycle counters -- decoupled
-  /// free-run vs lockstep vs interpreter -- and the sync-block count of
-  /// scheduled replays. Work pinned to the slow tiers is visible here.
+  /// replays rolled back by cross-column SPM conflicts, plus per-tier
+  /// column-cycle counters -- decoupled free-run vs lockstep vs
+  /// interpreter -- and the sync-block count of scheduled replays. Work
+  /// pinned to the slow tiers is visible here.
   std::uint64_t traced_launches = 0;
   std::uint64_t traced_rollbacks = 0;
-  std::uint64_t batched_launches = 0;
-  std::uint64_t jobs_batched = 0;
   std::uint64_t replay_decoupled_cycles = 0;
   std::uint64_t replay_lockstep_cycles = 0;
   std::uint64_t replay_interpreted_cycles = 0;

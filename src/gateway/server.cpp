@@ -640,8 +640,6 @@ void fold_fleet(Stats& s, const runtime::FleetStats& fleet) {
   s.checkpoints_restored = fleet.checkpoints_restored;
   s.traced_launches = fleet.traced_launches;
   s.traced_rollbacks = fleet.traced_rollbacks;
-  s.batched_launches = fleet.batched_launches;
-  s.jobs_batched = fleet.jobs_batched;
   s.replay_decoupled_cycles = fleet.replay_decoupled_cycles;
   s.replay_lockstep_cycles = fleet.replay_lockstep_cycles;
   s.replay_interpreted_cycles = fleet.replay_interpreted_cycles;

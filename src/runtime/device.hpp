@@ -33,7 +33,6 @@
 // order.
 
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,7 +62,6 @@ struct DeviceOptions {
 struct ReplayStats {
   std::uint64_t traced_launches = 0;   ///< launches replayed from traces
   std::uint64_t traced_rollbacks = 0;  ///< replays undone by SPM conflicts
-  std::uint64_t batched_launches = 0;  ///< launches via the fleet batch replayer
   std::uint64_t decoupled_cycles = 0;    ///< column-cycles replayed free-running
   std::uint64_t lockstep_cycles = 0;     ///< column-cycles replayed in lockstep
   std::uint64_t interpreted_cycles = 0;  ///< column-cycles interpreted
@@ -93,21 +91,6 @@ class Device {
   /// time advances). Throws on malformed jobs; the caller routes the
   /// exception into the job's promise.
   JobResult run(const Job& job, std::uint64_t seq);
-
-  /// Runs one FIR job on each of n devices (lane i's job on devs[i]).
-  /// Lanes whose device is warm on the kernel's compiled decoupled trace
-  /// replay together through cgra::tc::BatchReplayer -- one host loop
-  /// advancing every device's SPM/VWR state block by block (SIMD over
-  /// devices); the remaining lanes launch scalar. Both paths are bit-,
-  /// cycle- and energy-identical to per-device Device::run, so batching is
-  /// purely a host-throughput optimization. On return exactly one of
-  /// results[i] / errors[i] is set per lane. The caller guarantees every
-  /// jobs[i] holds a FirJob of one same n and that it exclusively drives
-  /// every lane's device (the pool's group claim).
-  static void run_fir_group(Device* const* devs, const Job* const* jobs,
-                            const std::uint64_t* seqs, std::size_t n,
-                            std::vector<JobResult>& results,
-                            std::vector<std::exception_ptr>& errors);
 
   /// Live replay-engine counters of this device's accelerator.
   ReplayStats replay_stats() const;
@@ -173,10 +156,6 @@ class Device {
   /// FIR-11 via the device driver with tap-residency dedup.
   kernels::FirRunStats run_fir11(unsigned n, const SharedBuffer& taps,
                                  unsigned sys_in, unsigned sys_out);
-  /// The launch-free prefix of a FIR job (validation, input + tap staging,
-  /// SRF parameters); returns the kernel id ready to run and the output
-  /// region in `out_word`. run_fir_group's per-lane phase 1.
-  unsigned fir_begin(const FirJob& job, unsigned& out_word);
   /// Throws unless a job's system-memory footprint ends below kBioBase:
   /// the residency skip assumes kernel jobs can never clobber the resident
   /// app image's SRAM, so the layout invariant is enforced, not assumed.

@@ -56,7 +56,6 @@ void fold_device(FleetStats& s, const soc::Platform::Snapshot& snap,
   s.total_pj += snap.total_pj();
   s.traced_launches += replay.traced_launches;
   s.traced_rollbacks += replay.traced_rollbacks;
-  s.batched_launches += replay.batched_launches;
   s.replay_decoupled_cycles += replay.decoupled_cycles;
   s.replay_lockstep_cycles += replay.lockstep_cycles;
   s.replay_interpreted_cycles += replay.interpreted_cycles;
@@ -541,8 +540,6 @@ void DevicePool::cache_device_locked(DeviceState& ds,
         obs::Registry::get().counter("fleet.replay_traced_launches");
     static obs::Counter& m_rb =
         obs::Registry::get().counter("fleet.replay_rollbacks");
-    static obs::Counter& m_bl =
-        obs::Registry::get().counter("fleet.replay_batched_launches");
     static obs::Counter& m_dc =
         obs::Registry::get().counter("fleet.replay_decoupled_cycles");
     static obs::Counter& m_lc =
@@ -554,7 +551,6 @@ void DevicePool::cache_device_locked(DeviceState& ds,
     const ReplayStats& prev = ds.cached_replay;
     m_tl.add(replay.traced_launches - prev.traced_launches);
     m_rb.add(replay.traced_rollbacks - prev.traced_rollbacks);
-    m_bl.add(replay.batched_launches - prev.batched_launches);
     m_dc.add(replay.decoupled_cycles - prev.decoupled_cycles);
     m_lc.add(replay.lockstep_cycles - prev.lockstep_cycles);
     m_ic.add(replay.interpreted_cycles - prev.interpreted_cycles);
@@ -578,41 +574,6 @@ void DevicePool::worker_loop() {
     DeviceState& ds = devices_[static_cast<std::size_t>(d)];
     ds.claimed = true;
 
-    // Fleet-batched dispatch (SIMD over devices): when this trace-mode
-    // device's next job is a FIR, also claim other idle devices of the same
-    // variant whose next job is a same-shape FIR, and run one job from each
-    // as a single batched trace replay. Interpret-mode devices never gang
-    // (nothing to batch; the scalar chunk path drains them faster), and a
-    // device with a checkpoint to adopt stays scalar (the restore must land
-    // before its next job).
-    if (cfg_.fleet_batch && ds.pending_restore.empty() &&
-        ds.device->arch().exec_mode == cgra::ExecMode::kTraceCache &&
-        !ds.queue.empty() &&
-        std::holds_alternative<FirJob>(ds.queue.front().job.work)) {
-      const FirJob& f0 = std::get<FirJob>(ds.queue.front().job.work);
-      std::vector<std::size_t> group;
-      group.push_back(static_cast<std::size_t>(d));
-      for (std::size_t e = 0; e < devices_.size(); ++e) {
-        if (group.size() >= cfg_.max_batch) break;
-        if (e == static_cast<std::size_t>(d)) continue;
-        DeviceState& es = devices_[e];
-        if (es.claimed || es.dead || es.queue.empty() ||
-            !es.pending_restore.empty()) {
-          continue;
-        }
-        if (!(es.device->arch() == ds.device->arch())) continue;
-        const FirJob* fe = std::get_if<FirJob>(&es.queue.front().job.work);
-        if (fe == nullptr || fe->n != f0.n) continue;
-        es.claimed = true;
-        group.push_back(e);
-      }
-      if (group.size() >= 2) {
-        run_group(lock, group);
-        continue;
-      }
-      // No partner idle right now: fall through to the scalar chunk path
-      // (the claim on d is still held).
-    }
     // A checkpoint parked on this device (its source fail-stopped) is
     // adopted before any rescued job runs, so residency carries over.
     std::vector<std::uint8_t> restore_blob = std::move(ds.pending_restore);
@@ -729,130 +690,6 @@ void DevicePool::worker_loop() {
   }
 }
 
-void DevicePool::run_group(std::unique_lock<std::mutex>& lock,
-                           const std::vector<std::size_t>& group) {
-  // One Pending popped per device: each device still consumes its own FIFO
-  // in order, so the job stream any device sees -- and with it every
-  // per-job cycle/energy delta -- is the same as under scalar dispatch.
-  std::vector<Pending> pending;
-  pending.reserve(group.size());
-  for (std::size_t g : group) {
-    pending.push_back(std::move(devices_[g].queue.front()));
-    devices_[g].queue.pop_front();
-  }
-  lock.unlock();
-
-  std::vector<Device*> devs;
-  std::vector<const Job*> jobs;
-  std::vector<std::uint64_t> seqs;
-  devs.reserve(group.size());
-  jobs.reserve(group.size());
-  seqs.reserve(group.size());
-  const bool spans = obs::spans_enabled();
-  std::vector<std::uint64_t> sim0(group.size(), 0);
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    devs.push_back(devices_[group[i]].device.get());
-    jobs.push_back(&pending[i].job);
-    seqs.push_back(pending[i].seq);
-    if (spans) sim0[i] = devs.back()->snapshot().total_cycles();
-    if (pending[i].enq_ns != 0 && obs::tracing_enabled()) {
-      const std::uint64_t now = obs::now_ns();
-      obs::complete("window.queue", pending[i].job.trace_id, pending[i].enq_ns,
-                    now > pending[i].enq_ns ? now - pending[i].enq_ns : 0,
-                    static_cast<std::uint64_t>(group[i]));
-    }
-  }
-
-  const std::uint64_t group_begin = spans ? obs::now_ns() : 0;
-  std::vector<JobResult> results;
-  std::vector<std::exception_ptr> errors;
-  Device::run_fir_group(devs.data(), jobs.data(), seqs.data(), group.size(),
-                        results, errors);
-  const std::uint64_t group_end = spans ? obs::now_ns() : 0;
-
-  std::uint64_t ok = 0, bad = 0;
-  std::array<std::uint64_t, kJobFamilies> meas{};
-  std::array<std::uint64_t, kJobFamilies> prior{};
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    if (errors[i]) {
-      pending[i].promise.set_exception(errors[i]);
-      ++bad;
-      continue;
-    }
-    if (spans) {
-      // One batched replay runs all lanes: every lane shares the group's
-      // host run window (its own simulated cost is still per-lane exact).
-      results[i].timing.enq_ns = pending[i].enq_ns;
-      results[i].timing.run_begin_ns = group_begin;
-      results[i].timing.run_end_ns = group_end;
-      results[i].timing.place_cycles = pending[i].place_cycles;
-      results[i].timing.sim_begin = sim0[i];
-    }
-    const double norm = static_cast<double>(results[i].cost.total_cycles()) /
-                        sched_speed_[group[i]];
-    meas[pending[i].family] += static_cast<std::uint64_t>(std::llround(norm));
-    prior[pending[i].family] += estimate_cost(pending[i].job);
-    pending[i].promise.set_value(std::move(results[i]));
-    ++ok;
-  }
-
-  if (obs::metrics_enabled()) {
-    static obs::Counter& m_done =
-        obs::Registry::get().counter("fleet.jobs_completed");
-    static obs::Counter& m_fail =
-        obs::Registry::get().counter("fleet.jobs_failed");
-    static obs::Counter& m_grp =
-        obs::Registry::get().counter("fleet.batch_groups");
-    static obs::Counter& m_bat =
-        obs::Registry::get().counter("fleet.jobs_batched");
-    if (ok != 0) m_done.add(ok);
-    if (bad != 0) m_fail.add(bad);
-    m_grp.add(1);
-    m_bat.add(group.size());
-  }
-
-  // Refresh every member's telemetry cache while the claims are still held.
-  std::vector<soc::Platform::Snapshot> snaps(group.size());
-  std::vector<std::uint64_t> dev_jobs(group.size());
-  std::vector<std::uint64_t> dev_stagings(group.size());
-  std::vector<ReplayStats> dev_replay(group.size());
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    const Device& dev = *devices_[group[i]].device;
-    snaps[i] = dev.snapshot();
-    dev_jobs[i] = dev.jobs_run();
-    dev_stagings[i] = dev.stagings();
-    dev_replay[i] = dev.replay_stats();
-  }
-
-  lock.lock();
-  for (unsigned f = 0; f < kJobFamilies; ++f) {
-    pend_measured_[f] += meas[f];
-    pend_prior_[f] += prior[f];
-  }
-  ++batch_groups_;
-  jobs_batched_ += group.size();
-  completed_ += ok;
-  failed_ += bad;
-  inflight_ -= ok + bad;
-  bool more = false;
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    DeviceState& gs = devices_[group[i]];
-    cache_device_locked(gs, snaps[i], dev_jobs[i], dev_stagings[i],
-                        dev_replay[i]);
-    gs.claimed = false;
-    if (gs.kill_pending) {
-      // The fail-stop landed while the group was running; jobs are atomic,
-      // so it completes here, at the group boundary.
-      gs.kill_pending = false;
-      finish_kill_locked(static_cast<unsigned>(group[i]));
-    }
-    if (!gs.queue.empty() && !gs.dead) more = true;
-  }
-  check_faults_locked();
-  if (inflight_ == 0) idle_cv_.notify_all();
-  if (more) work_cv_.notify_all();
-}
-
 void DevicePool::wait_idle() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] { return inflight_ == 0; });
@@ -875,8 +712,6 @@ FleetStats DevicePool::stats() {
   s.device_pj.reserve(devices_.size());
   s.device_jobs.reserve(devices_.size());
   s.device_arch.reserve(devices_.size());
-  s.batch_groups = batch_groups_;
-  s.jobs_batched = jobs_batched_;
   for (const DeviceState& ds : devices_) {
     fold_device(s, ds.device->snapshot(), ds.device->jobs_run(),
                 ds.device->stagings(), ds.device->arch(),
@@ -898,8 +733,6 @@ FleetStats DevicePool::peek_stats() const {
     s.device_pj.reserve(devices_.size());
     s.device_jobs.reserve(devices_.size());
     s.device_arch.reserve(devices_.size());
-    s.batch_groups = batch_groups_;
-    s.jobs_batched = jobs_batched_;
     for (const DeviceState& ds : devices_) {
       fold_device(s, ds.cached_snapshot, ds.cached_jobs, ds.cached_stagings,
                   ds.device->arch(), ds.cached_replay);

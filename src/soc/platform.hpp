@@ -17,10 +17,10 @@
 // built with an ArchConfig that overrides the VWR count (2/3/4 per column)
 // or selects the dual-lane 16-bit SIMD datapath mode. The variants share
 // the 3-VWR/32-bit functional model -- outputs stay bit-identical -- and
-// apply the analytically derived cycle/energy adjustments of
-// bench/ablation_vwr_count.cpp and bench/ablation_simd16.cpp continuously
-// to every Snapshot, so a heterogeneous fleet of variants can be swept in
-// one run (runtime::DevicePool per-device overrides).
+// apply analytically derived cycle/energy adjustments (apply_arch_model,
+// the one cost model of the ablations) continuously to every Snapshot, so
+// a heterogeneous fleet of variants can be swept in one run
+// (runtime::DevicePool per-device overrides; bench/runtime_sweep.cpp).
 
 #include <cstdint>
 #include <string>
@@ -162,9 +162,9 @@ class Platform {
 
  private:
   /// Applies the variant cost model to a raw snapshot. The adjustments are
-  /// the analytic models of bench/ablation_vwr_count.cpp (Sec 3.2) and
-  /// bench/ablation_simd16.cpp (Sec 5.1.1), expressed over the cumulative
-  /// VWR2A event counts so snapshot deltas inherit them:
+  /// analytic models of the VWR-count (Sec 3.2) and 16-bit datapath
+  /// (Sec 5.1.1) ablations, expressed over the cumulative VWR2A event
+  /// counts so snapshot deltas inherit them:
   ///  * 2 VWRs: the shuffle unit loses its dedicated destination -- every
   ///    shuffle result and ~half the elementwise passes pay an SPM round
   ///    trip (2 cycles + one row read + one row write), minus one VWR's

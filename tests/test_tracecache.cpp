@@ -248,32 +248,36 @@ TEST(TraceCacheFuzz, RandomProgramsBitCycleEnergyIdentical) {
 
     const unsigned ki = ri.acc.register_kernel(img);
     const unsigned kt = rt.acc.register_kernel(img);
-    int outcome_i = 0, outcome_t = 0;
+    // Runs one launch; returns 0 (clean), 1 (hazard) or 2 (other fault).
+    auto launch = [](Rig& rig, unsigned kid, std::string& err) {
+      try {
+        rig.acc.run_kernel(kid);
+      } catch (const StructuralHazard& e) {
+        err = e.what();
+        return 1;
+      } catch (const SimError& e) {
+        err = e.what();
+        return 2;
+      }
+      return 0;
+    };
     std::string err_i, err_t;
-    try {
-      ri.acc.run_kernel(ki);
-    } catch (const StructuralHazard& e) {
-      outcome_i = 1;
-      err_i = e.what();
-    } catch (const SimError& e) {
-      outcome_i = 2;
-      err_i = e.what();
-    }
-    try {
-      rt.acc.run_kernel(kt);
-    } catch (const StructuralHazard& e) {
-      outcome_t = 1;
-      err_t = e.what();
-    } catch (const SimError& e) {
-      outcome_t = 2;
-      err_t = e.what();
-    }
+    const int outcome_i = launch(ri, ki, err_i);
+    const int outcome_t = launch(rt, kt, err_t);
     ASSERT_EQ(outcome_i, outcome_t) << "trial " << trial << ": interpreter '"
                                     << err_i << "' vs trace '" << err_t << "'";
     ASSERT_EQ(err_i, err_t) << "trial " << trial;
     if (outcome_i == 0) {
       ++completed;
       expect_identical(ri, rt, "trial " + std::to_string(trial));
+      if (::testing::Test::HasFatalFailure()) return;
+      // Warm relaunch from the state the first launch left: the memoized
+      // traces and sync plan must replay identically too (or fault alike).
+      const int again_i = launch(ri, ki, err_i);
+      const int again_t = launch(rt, kt, err_t);
+      ASSERT_EQ(again_i, again_t) << "trial " << trial << " relaunch";
+      ASSERT_EQ(err_i, err_t) << "trial " << trial << " relaunch";
+      expect_identical(ri, rt, "trial " + std::to_string(trial) + " relaunch");
       if (::testing::Test::HasFatalFailure()) return;
     } else {
       ++faulted;
@@ -864,159 +868,12 @@ TEST(TraceCache, CrossWithoutPartnerFaultsIdentically) {
   expect_identical(ri, rt, "lone cross fault path");
 }
 
-// --- fleet-batched replay ----------------------------------------------------
-
-/// BatchReplayer: one compiled trace driven across several devices in a
-/// single host loop. Each lane's outcome -- state, cycles, energy, per-lane
-/// fused trip counts -- must be identical to running that device alone.
-TEST(TraceCache, BatchedReplayMatchesScalarPerLane) {
-  constexpr std::size_t kLanes = 4;
-  cgra::TraceCache shared;
-  const isa::KernelImage img =
-      make_kernel("counted", 0, counted_accumulate_program());
-
-  std::vector<std::unique_ptr<Rig>> trig, irig;
-  std::array<cgra::Vwr2a*, kLanes> devs{};
-  std::array<unsigned, kLanes> kids{};
-  std::array<unsigned, kLanes> ikids{};
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    trig.push_back(std::make_unique<Rig>(ExecMode::kTraceCache));
-    irig.push_back(std::make_unique<Rig>(ExecMode::kInterpret));
-    trig[i]->acc.set_trace_cache(&shared);
-    trig[i]->seed(Rng(100 + i));
-    irig[i]->seed(Rng(100 + i));
-    devs[i] = &trig[i]->acc;
-    kids[i] = trig[i]->acc.register_kernel(img);
-    ikids[i] = irig[i]->acc.register_kernel(img);
-    // Per-lane data-dependent trip count: the batched fused loop must read
-    // each device's own counter.
-    trig[i]->acc.host_write_srf(0, 0, 3 + 2 * static_cast<Word>(i));
-    irig[i]->acc.host_write_srf(0, 0, 3 + 2 * static_cast<Word>(i));
-  }
-
-  // Cold devices are not batchable; warm them with one scalar launch.
-  std::array<const void*, arch::kNumColumns> key0{}, key{};
-  EXPECT_FALSE(cgra::tc::BatchReplayer::identity(*devs[0], kids[0], key0));
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    trig[i]->acc.run_kernel(kids[i]);
-    irig[i]->acc.run_kernel(ikids[i]);
-  }
-  ASSERT_TRUE(cgra::tc::BatchReplayer::identity(*devs[0], kids[0], key0));
-  for (std::size_t i = 1; i < kLanes; ++i) {
-    ASSERT_TRUE(cgra::tc::BatchReplayer::identity(*devs[i], kids[i], key));
-    // The shared cache makes the same program pointer-identical fleet-wide.
-    EXPECT_EQ(key, key0);
-  }
-
-  // Batched second launch vs scalar interpreter twins.
-  cgra::tc::BatchReplayer::run(devs.data(), kids.data(), kLanes);
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    irig[i]->acc.run_kernel(ikids[i]);
-    expect_identical(*irig[i], *trig[i], "lane " + std::to_string(i));
-    EXPECT_EQ(trig[i]->acc.launches(), 2u);
-    EXPECT_EQ(trig[i]->acc.batched_launches(), 1u);
-    EXPECT_EQ(trig[i]->acc.traced_rollbacks(), 0u);
-  }
-}
-
-/// Random-program batched fuzz: after a clean warmup launch, a batched
-/// relaunch across three devices must equal three scalar interpreter
-/// relaunches lane for lane -- including trials where the lanes' plans are
-/// not decoupled (the batch detaches them to the scalar ladder).
-TEST(TraceCacheFuzz, BatchedReplayMatchesInterpreterLanes) {
-  constexpr std::size_t kLanes = 3;
-  Rng rng(0xBA7C);
-  unsigned batched_trials = 0;
-  // Dense random lines fault on the single-ported SRF most of the time (the
-  // population the scalar fuzz pins); batching needs *runnable* kernels, so
-  // screen candidates with a throwaway interpreter probe first.
-  auto gen_runnable = [&rng](unsigned len, bool two_cols) {
-    isa::KernelImage img;
-    for (int attempt = 0; attempt < 200; ++attempt) {
-      const isa::ColumnProgram prog = random_program(rng, len);
-      // The shared synchronized PC requires equal column program lengths.
-      img = two_cols ? make_kernel2("bfuzz2", prog, random_program(rng, len))
-                     : make_kernel("bfuzz", 0, prog);
-      Rig probe(ExecMode::kInterpret);
-      probe.seed(Rng(rng.next_u64()));
-      for (unsigned c = 0; c < arch::kNumColumns; ++c) {
-        probe.acc.column(c).srf().poke(3, 2);
-      }
-      try {
-        probe.acc.run_kernel(probe.acc.register_kernel(img));
-        break;  // runnable with at least one data seed
-      } catch (...) {
-      }
-    }
-    return img;
-  };
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::uint64_t data_seed = rng.next_u64();
-    const unsigned len = 2 + rng.next_below(12);
-    const bool two_cols = rng.next_below(2) == 1;
-    const isa::KernelImage img = gen_runnable(len, two_cols);
-
-    cgra::TraceCache shared;
-    std::vector<std::unique_ptr<Rig>> trig, irig;
-    std::array<cgra::Vwr2a*, kLanes> devs{};
-    std::array<unsigned, kLanes> kids{};
-    std::array<unsigned, kLanes> ikids{};
-    bool warm_ok = true;
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      trig.push_back(std::make_unique<Rig>(ExecMode::kTraceCache));
-      irig.push_back(std::make_unique<Rig>(ExecMode::kInterpret));
-      trig[i]->acc.set_trace_cache(&shared);
-      const std::uint64_t lane_seed = data_seed + i;
-      trig[i]->seed(Rng(lane_seed));
-      irig[i]->seed(Rng(lane_seed));
-      for (unsigned c = 0; c < arch::kNumColumns; ++c) {
-        trig[i]->acc.column(c).srf().poke(3, 2 + static_cast<Word>(i));
-        irig[i]->acc.column(c).srf().poke(3, 2 + static_cast<Word>(i));
-      }
-      devs[i] = &trig[i]->acc;
-      kids[i] = trig[i]->acc.register_kernel(img);
-      ikids[i] = irig[i]->acc.register_kernel(img);
-    }
-    // Warmup launch per lane on both engines; a faulting program is already
-    // covered by the scalar fuzz, so only clean trials go on to batch.
-    for (std::size_t i = 0; i < kLanes && warm_ok; ++i) {
-      try {
-        irig[i]->acc.run_kernel(ikids[i]);
-        trig[i]->acc.run_kernel(kids[i]);
-      } catch (...) {
-        warm_ok = false;
-      }
-    }
-    if (!warm_ok) continue;
-    // Interpreter relaunch first: a data-dependent fault on the second
-    // launch (possible after state evolved) skips the trial.
-    bool relaunch_ok = true;
-    for (std::size_t i = 0; i < kLanes && relaunch_ok; ++i) {
-      try {
-        irig[i]->acc.run_kernel(ikids[i]);
-      } catch (...) {
-        relaunch_ok = false;
-      }
-    }
-    if (!relaunch_ok) continue;
-    cgra::tc::BatchReplayer::run(devs.data(), kids.data(), kLanes);
-    ++batched_trials;
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      expect_identical(*irig[i], *trig[i],
-                       "trial " + std::to_string(trial) + " lane " +
-                           std::to_string(i));
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-  EXPECT_GT(batched_trials, 10u);
-}
-
 /// Replay energy is counted per block and folded into the meter once per
 /// launch. Back-to-back launches on every replay tier -- decoupled,
-/// sync-scheduled, per-cycle lockstep, fleet-batched, and one launch that
-/// rolls back -- must leave the meter equal to an interpreter twin's after
-/// every single launch, so no launch's counts leak into the next one or
-/// survive its rollback.
+/// sync-scheduled, per-cycle lockstep, and one launch that rolls back --
+/// must leave the meter equal to an interpreter twin's after every single
+/// launch, so no launch's counts leak into the next one or survive its
+/// rollback.
 TEST(TraceCache, DeferredEnergyIsFoldedAfterEveryLaunchOnEveryTier) {
   using isa::RcDst;
   using isa::RcSrc;
@@ -1120,41 +977,6 @@ TEST(TraceCache, DeferredEnergyIsFoldedAfterEveryLaunchOnEveryTier) {
     }
   }
   EXPECT_EQ(rt.acc.interpreted_cycles(), 0u);
-
-  // Batched: lanes share one dispatch; check every lane after each batch.
-  constexpr std::size_t kLanes = 3;
-  cgra::TraceCache shared;
-  std::vector<std::unique_ptr<Rig>> trig, irig;
-  std::array<cgra::Vwr2a*, kLanes> devs{};
-  std::array<unsigned, kLanes> kids{}, ikids{};
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    trig.push_back(std::make_unique<Rig>(ExecMode::kTraceCache));
-    irig.push_back(std::make_unique<Rig>(ExecMode::kInterpret));
-    trig[i]->acc.set_trace_cache(&shared);
-    trig[i]->seed(Rng(200 + i));
-    irig[i]->seed(Rng(200 + i));
-    devs[i] = &trig[i]->acc;
-    kids[i] = trig[i]->acc.register_kernel(decoupled);
-    ikids[i] = irig[i]->acc.register_kernel(decoupled);
-    for (unsigned c = 0; c < arch::kNumColumns; ++c) {
-      trig[i]->acc.host_write_srf(c, 0, 4 + static_cast<Word>(i + c));
-      irig[i]->acc.host_write_srf(c, 0, 4 + static_cast<Word>(i + c));
-    }
-    trig[i]->acc.run_kernel(kids[i]);  // warm: batching needs a plan
-    irig[i]->acc.run_kernel(ikids[i]);
-  }
-  for (int batch = 0; batch < 3; ++batch) {
-    cgra::tc::BatchReplayer::run(devs.data(), kids.data(), kLanes);
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      irig[i]->acc.run_kernel(ikids[i]);
-      expect_identical(*irig[i], *trig[i],
-                       "batch " + std::to_string(batch) + " lane " +
-                           std::to_string(i));
-      if (::testing::Test::HasFatalFailure()) return;
-      EXPECT_EQ(trig[i]->acc.batched_launches(),
-                static_cast<std::uint64_t>(batch + 1));
-    }
-  }
 }
 
 TEST(TraceCache, StaticHazardBailsToInterpreterWithSameFault) {
