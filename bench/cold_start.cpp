@@ -12,12 +12,17 @@
 //
 // After both fleets are warm the same catalog wave is executed and the
 // output hashes compared -- hydration must be bit-identical (the
-// cycle/energy identity is pinned by tests/test_runtime_jobs.cpp).
+// cycle/energy identity is pinned by tests/test_runtime_jobs.cpp). The
+// replay counters (traced launches, rollbacks, sync points, per-tier
+// cycles) must match exactly too: a hydrated trace plans the same replay
+// tiers as a compiled one, so a prewarmed fleet never pays rollbacks a
+// cold fleet does not.
 //
 // Appends cold_start_cold / cold_start_warm records to BENCH_runtime.json
 // for the nightly perf-trajectory artifact. Exit 1 on gate or identity
 // failure.
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -147,6 +152,31 @@ int main() {
 
   if (cold.hash != warm.hash) {
     std::printf("FAIL: warm outputs diverge from cold (hash mismatch)\n");
+    return 1;
+  }
+  // Both fleets ran the same pinned waves, so equal replay tiers mean
+  // exactly equal counters.
+  auto tiers = [](const runtime::FleetStats& s) {
+    return std::array<std::uint64_t, 6>{
+        s.traced_launches,         s.traced_rollbacks,
+        s.replay_sync_points,      s.replay_decoupled_cycles,
+        s.replay_lockstep_cycles,  s.replay_interpreted_cycles};
+  };
+  const auto ct = tiers(cold.stats);
+  const auto wt = tiers(warm.stats);
+  std::printf("  replay (launches, rollbacks, sync points, decoupled/lockstep/"
+              "interpreted cycles):\n");
+  for (const auto& [name, t] : {std::pair{"cold", ct}, std::pair{"warm", wt}}) {
+    std::printf("    %s: %llu, %llu, %llu, %llu/%llu/%llu\n", name,
+                static_cast<unsigned long long>(t[0]),
+                static_cast<unsigned long long>(t[1]),
+                static_cast<unsigned long long>(t[2]),
+                static_cast<unsigned long long>(t[3]),
+                static_cast<unsigned long long>(t[4]),
+                static_cast<unsigned long long>(t[5]));
+  }
+  if (ct != wt) {
+    std::printf("FAIL: warm fleet replay tiers diverge from cold\n");
     return 1;
   }
   if (!warm.stats.artifact_attached ||

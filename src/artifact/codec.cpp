@@ -355,6 +355,9 @@ bool parse_trace(Reader& r, cgra::CompiledTrace& out) {
   // A replayable trace with no lines or no blocks would send the replay
   // loop straight out of bounds.
   if (out.ok && (nlines == 0 || nblocks == 0)) return false;
+  // The static dependence facts are not stored: they are derived from the
+  // lines and blocks just parsed, by the same function compile_trace uses.
+  cgra::derive_dependence_facts(out);
   return true;
 }
 

@@ -295,12 +295,27 @@ bool Store::verify_all(std::string* error) const {
   }
   std::size_t i = 0;
   for (const auto& [key, span] : traces_) {
+    const std::string where = "artifact: trace entry " + std::to_string(i) +
+                              " (variant " + std::string(key.first) + ")";
     Reader r(map_ + span.off, span.len);
     cgra::CompiledTrace trace;
     if (!parse_trace(r, trace) || !r.at_end()) {
-      set_error(error, "artifact: trace entry " + std::to_string(i) +
-                           " (variant " + std::string(key.first) +
-                           ") fails to parse");
+      set_error(error, where + " fails to parse");
+      return false;
+    }
+    // A hydrated trace must be exactly what the in-process compiler makes
+    // of the program in its index key: codec drift (a field encoded,
+    // parsed or derived differently) fails here instead of silently
+    // changing how a prewarmed fleet replays.
+    Reader pr(reinterpret_cast<const std::uint8_t*>(key.second.data()),
+              key.second.size());
+    isa::ColumnProgram prog;
+    if (!parse_program(pr, prog) || !pr.at_end()) {
+      set_error(error, where + " has a malformed program key");
+      return false;
+    }
+    if (trace != *cgra::compile_trace(prog)) {
+      set_error(error, where + " differs from compile_trace of its program");
       return false;
     }
     ++i;

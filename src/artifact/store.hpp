@@ -87,8 +87,10 @@ class Store : public isa::ImageSource, public cgra::TraceSource {
   std::vector<std::pair<std::string_view, std::uint64_t>> trace_summaries()
       const;
 
-  /// Parses every entry in the file (verify subcommand): returns false and
-  /// fills *error on the first entry that fails to hydrate.
+  /// Parses every entry in the file and recompiles every trace from the
+  /// program in its index key (verify subcommand): returns false and fills
+  /// *error on the first entry that fails to hydrate, or whose hydrated
+  /// trace differs from the in-process compile.
   bool verify_all(std::string* error = nullptr) const;
 
  private:

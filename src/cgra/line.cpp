@@ -308,17 +308,6 @@ void resolve_rc(const isa::RcInstr& I, unsigned r, tc::RcUop& u) {
   }
 }
 
-/// True when any active RC of the line reads the partner column.
-bool line_has_cross(const tc::Line& line) {
-  using K = tc::Src::K;
-  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-    if (((line.rc_mask >> r) & 1u) == 0) continue;
-    const tc::RcUop& u = line.rc[r];
-    if (u.a.k == K::kCross || (!u.unary && u.b.k == K::kCross)) return true;
-  }
-  return false;
-}
-
 /// Lane-uniform shape test: all four RCs run the same op with the same
 /// source/destination kinds and shared indices, differing only in their
 /// slice. The rc_all() idiom every kernel's inner loop uses.
@@ -492,7 +481,7 @@ DecodedLine decode_line(const isa::ColumnProgram& prog, unsigned pc) {
   set_control(L);
   flatten(L);
   L.lsu_addressed = lsu_uses_address(L.lsu.op);
-  L.reads_cross = line_has_cross(L.uop);
+  L.reads_cross = tc::reads_cross(L.uop);
   std::array<std::uint64_t, static_cast<unsigned>(Event::kCount)> counts{};
   add_line_energy(L, counts);  // each count is at most 8 RC operands + 3 slots
   for (unsigned e = 0; e < counts.size(); ++e) {
@@ -502,6 +491,16 @@ DecodedLine decode_line(const isa::ColumnProgram& prog, unsigned pc) {
     }
   }
   return L;
+}
+
+bool tc::reads_cross(const tc::Line& line) {
+  using K = tc::Src::K;
+  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
+    if (((line.rc_mask >> r) & 1u) == 0) continue;
+    const tc::RcUop& u = line.rc[r];
+    if (u.a.k == K::kCross || (!u.unary && u.b.k == K::kCross)) return true;
+  }
+  return false;
 }
 
 DecodedProgram decode_program(const isa::ColumnProgram& prog) {

@@ -56,6 +56,8 @@ struct Src {
   std::uint8_t idx = 0;    ///< rf entry for kRf; SRF entry for kSrf
   std::uint16_t base = 0;  ///< slice word base (rc * kSliceWords) for kVwr
   Word imm = 0;            ///< value for kImm
+
+  bool operator==(const Src&) const = default;
 };
 
 /// A pre-resolved RC destination.
@@ -70,6 +72,8 @@ struct RcUop {
   std::uint8_t vwr = 0;    ///< VWR select for Dst::kVwr
   std::uint8_t idx = 0;    ///< rf entry for kRf; SRF entry for kSrf
   std::uint16_t base = 0;  ///< slice word base for Dst::kVwr
+
+  bool operator==(const RcUop&) const = default;
 };
 
 /// One LSU micro-op (address mode folded; imm pre-widened).
@@ -81,6 +85,8 @@ struct LsuUop {
   std::uint8_t srf_data = 0;
   isa::ShufMode mode = isa::ShufMode::kInterleaveLo;
   std::int32_t imm = 0;
+
+  bool operator==(const LsuUop&) const = default;
 };
 
 /// One MXCU micro-op.
@@ -88,6 +94,8 @@ struct MxcuUop {
   isa::MxcuOp op = isa::MxcuOp::kNop;
   std::uint8_t srf = 0;
   std::int32_t imm = 0;
+
+  bool operator==(const MxcuUop&) const = default;
 };
 
 /// One LCU register micro-op (control ops live in the block terminator).
@@ -95,6 +103,8 @@ struct LcuUop {
   isa::LcuOp op = isa::LcuOp::kNop;  ///< kSetI..kStSrf only
   std::uint8_t rd = 0, ra = 0, srf = 0;
   std::int32_t imm = 0;
+
+  bool operator==(const LcuUop&) const = default;
 };
 
 /// One flattened VLIW line.
@@ -112,7 +122,12 @@ struct Line {
   LsuUop lsu;
   MxcuUop mxcu;
   LcuUop lcu;
+
+  bool operator==(const Line&) const = default;
 };
+
+/// True when an active RC of `line` reads the partner column (kCross).
+bool reads_cross(const Line& line);
 
 /// LCU control-flow kinds: a line's own control decision, and the
 /// terminator of a trace block (re-evaluated each replay; everything else

@@ -47,6 +47,24 @@ void add_static_spm(const tc::Line& line, std::uint64_t& sread,
 
 } // namespace
 
+void derive_dependence_facts(CompiledTrace& trace) {
+  trace.static_reads = 0;
+  trace.static_writes = 0;
+  trace.has_cross = false;
+  for (const tc::Line& line : trace.lines) {
+    if (tc::reads_cross(line)) trace.has_cross = true;
+  }
+  for (tc::Block& b : trace.blocks) {
+    b.sread = 0;
+    b.swrite = 0;
+    for (unsigned i = b.first; i < b.first + b.len; ++i) {
+      add_static_spm(trace.lines[i], b.sread, b.swrite);
+    }
+    trace.static_reads |= b.sread;
+    trace.static_writes |= b.swrite;
+  }
+}
+
 std::shared_ptr<const CompiledTrace> compile_trace(
     const isa::ColumnProgram& prog) {
   return compile_trace(decode_program(prog));
@@ -106,23 +124,18 @@ std::shared_ptr<const CompiledTrace> compile_trace(const DecodedProgram& dec) {
     b.imm = T.imm;
     b.target = T.target;
 
-    // Energy of one full block replay, and the block's static SPM rows (the
-    // dependence facts the sync scheduler partitions the kernel with).
+    // Energy of one full block replay.
     std::array<std::uint64_t, static_cast<unsigned>(Event::kCount)> counts{};
     for (unsigned i = pc; i <= end; ++i) {
       for (const energy::LineDelta& d : dec[i].energy_deltas()) {
         counts[static_cast<unsigned>(d.e)] += d.n;
       }
-      add_static_spm(trace->lines[i], b.sread, b.swrite);
-      if (dec[i].reads_cross) trace->has_cross = true;
     }
     for (unsigned e = 0; e < counts.size(); ++e) {
       if (counts[e] != 0) {
         b.energy.push_back({static_cast<Event>(e), counts[e]});
       }
     }
-    trace->static_reads |= b.sread;
-    trace->static_writes |= b.swrite;
 
     // Hardware-loop fusion: a DBNZ back to this block's own start whose
     // body never touches the trip-count register elsewhere replays its
@@ -158,6 +171,7 @@ std::shared_ptr<const CompiledTrace> compile_trace(const DecodedProgram& dec) {
     pc = end + 1;
   }
 
+  derive_dependence_facts(*trace);
   trace->ok = true;
   return trace;
 }

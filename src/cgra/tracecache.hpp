@@ -79,6 +79,8 @@ struct Block {
   /// the free-running tier and are validated post hoc by the runtime masks.
   std::uint64_t sread = 0;
   std::uint64_t swrite = 0;
+
+  bool operator==(const Block&) const = default;
 };
 
 } // namespace tc
@@ -96,12 +98,24 @@ class CompiledTrace {
   /// Whole-trace unions of the per-block static SPM row masks, and whether
   /// any kRcCross operand survives into the micro-ops (such a trace replays
   /// only on the per-cycle lockstep tier, which has partner snapshots).
+  /// Derived facts: see derive_dependence_facts().
   std::uint64_t static_reads = 0;
   std::uint64_t static_writes = 0;
   bool has_cross = false;
 
   unsigned length() const { return static_cast<unsigned>(lines.size()); }
+
+  bool operator==(const CompiledTrace&) const = default;
 };
+
+/// Computes the static dependence facts of `trace` from its micro-op lines
+/// and block geometry: every block's sread/swrite, the trace-wide
+/// static_reads/static_writes unions and has_cross (overwriting whatever
+/// they held). The one definition of these fields: compile_trace derives
+/// them here, and so does the artifact codec when it hydrates a stored
+/// trace, so a hydrated trace plans the same replay tiers as a compiled
+/// one. Blocks must lie inside `lines` (both producers guarantee it).
+void derive_dependence_facts(CompiledTrace& trace);
 
 /// Compiles one column program from its line analysis. Never throws on
 /// untraceable input: the result carries ok = false and the interpreter

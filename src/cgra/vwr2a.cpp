@@ -61,6 +61,7 @@ void Vwr2a::start_kernel(unsigned kernel_id) {
     advance(config_.charge_load(kernel_id));
     if (kernel_rt_.size() <= kernel_id) kernel_rt_.resize(kernel_id + 1);
     KernelRuntime& rt = kernel_rt_[kernel_id];
+    bool bound = false;  // traces bound to this kernel for the first time
     for (unsigned c = 0; c < arch::kNumColumns; ++c) {
       if (isa::contains(img.columns, c)) {
         if (rt.dec[c] == nullptr) {
@@ -71,23 +72,22 @@ void Vwr2a::start_kernel(unsigned kernel_id) {
           if (rt.trace[c] == nullptr) {
             rt.trace[c] =
                 trace_cache().get_or_compile(trace_variant_, img.program[c]);
+            bound = true;
           }
           column(c).set_trace(rt.trace[c]);
         }
         loaded_[c] = kernel_id;
       }
     }
-    if (exec_mode_ == ExecMode::kTraceCache) {
-      // Re-evaluate the replay schedule on every (re)load: the sync plan is
-      // a cheap mask intersection over the memoized traces, and clearing
-      // the runtime lockstep hint here lets a kernel whose trip counts or
-      // pointer parameters stopped conflicting leave the slow path again.
+    if (bound) {
       rt.plan = tc::make_sync_plan(
           isa::contains(img.columns, 0) ? rt.trace[0].get() : nullptr,
           isa::contains(img.columns, 1) ? rt.trace[1].get() : nullptr);
-      rt.plan_ready = true;
-      rt.lockstep_hint = false;
     }
+    // Clearing the runtime lockstep hint on every reload lets a kernel
+    // whose trip counts or pointer parameters stopped conflicting leave the
+    // slow path again.
+    rt.lockstep_hint = false;
   }
   advance(kLaunchCycles);
   for (unsigned c = 0; c < arch::kNumColumns; ++c) {
@@ -237,13 +237,7 @@ void Vwr2a::run_kernel_traced() {
     undo_->reset(spm_.write_gen());
   };
 
-  if (kernel_rt_.size() <= cur_kernel_) kernel_rt_.resize(cur_kernel_ + 1);
   KernelRuntime& rt = kernel_rt_[cur_kernel_];
-  if (!rt.plan_ready) {
-    rt.plan = tc::make_sync_plan(r0 ? rt.trace[0].get() : nullptr,
-                                 r1 ? rt.trace[1].get() : nullptr);
-    rt.plan_ready = true;
-  }
   const tc::SyncPlan& plan = rt.plan;
   const bool both = r0 && r1;
   if (!both || (!replay_lockstep_only_ &&

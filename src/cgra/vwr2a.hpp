@@ -189,10 +189,9 @@ class Vwr2a {
     std::array<std::shared_ptr<const DecodedProgram>,
                arch::kNumColumns> dec{};
     std::array<std::shared_ptr<const CompiledTrace>, arch::kNumColumns> trace{};
-    /// Compiled sync schedule for this kernel's trace pair (recomputed from
-    /// the memoized traces on every reload -- cheap mask intersections).
+    /// Compiled sync schedule for this kernel's trace pair, built once when
+    /// the traces are first bound (both are immutable from then on).
     tc::SyncPlan plan;
-    bool plan_ready = false;
     /// Runtime hint: a *dynamically* addressed cross-column conflict (or a
     /// budget-expired cross-column poll) forced a rollback, so later
     /// launches go straight to per-cycle lockstep. Cleared on reload: trip

@@ -18,6 +18,8 @@ namespace vwr2a::energy {
 struct EventDelta {
   Event e = Event::kCount;
   std::uint64_t n = 0;
+
+  bool operator==(const EventDelta&) const = default;
 };
 
 /// The compact per-line form of EventDelta: `n` occurrences of `e` in one

@@ -17,6 +17,8 @@
 #include "artifact/codec.hpp"
 #include "artifact/format.hpp"
 #include "artifact/store.hpp"
+#include "casm/builder.hpp"
+#include "casm/factories.hpp"
 #include "kernels/fir.hpp"
 #include "runtime/device.hpp"
 #include "runtime/pool.hpp"
@@ -259,6 +261,155 @@ TEST(Artifact, CorruptArtifactFallsBackBitIdentical) {
 }
 
 // --- hydration ----------------------------------------------------------------
+
+/// A two-column kernel whose columns read each other's previous-cycle RC
+/// results (kRcCross). Only the per-cycle lockstep tier can replay it, and
+/// the trace's has_cross fact is what selects that tier.
+std::array<isa::ColumnProgram, 2> cross_programs() {
+  using namespace casm;
+  auto make = [](isa::RcDst dst) {
+    ProgramBuilder pb;
+    pb.line().rc_all(rc_add(isa::RcDst::kR0, isa::RcSrc::kVwrA,
+                            isa::RcSrc::kOne)).emit();
+    pb.line().rc_all(rc_add(dst, isa::RcSrc::kRcCross, isa::RcSrc::kR0)).emit();
+    pb.line().lcu(lcu_exit()).emit();
+    return pb.build();
+  };
+  return {make(isa::RcDst::kVwrB), make(isa::RcDst::kVwrC)};
+}
+
+/// Every hydrated trace is field-for-field the trace compile_trace makes of
+/// its program -- the derived dependence facts (per-block static SPM rows,
+/// their unions, has_cross) included, so a prewarmed fleet plans the same
+/// replay tiers as a cold one.
+TEST(Artifact, HydratedTracesEqualCompiledTraces) {
+  isa::ImageCache cache;
+  populate_catalog(cache, {soc::ArchConfig{}});
+  const auto cross = cross_programs();
+  for (const isa::ColumnProgram& p : cross) {
+    ASSERT_TRUE(cache.traces().get_or_compile("cross", p)->ok);
+  }
+  const std::string path = temp_path("trace_identity");
+  write_file(path, serialize_cache(cache));
+  std::string why;
+  const auto store = Store::open(path, &why);
+  ASSERT_NE(store, nullptr) << why;
+
+  std::size_t checked = 0, with_static_rows = 0;
+  cache.traces().for_each_trace([&](const std::string& variant,
+                                    const isa::ColumnProgram& prog,
+                                    const auto& built) {
+    const auto hydrated = store->load_trace(variant, prog);
+    ASSERT_NE(hydrated, nullptr) << variant;
+    EXPECT_TRUE(*hydrated == *cgra::compile_trace(prog))
+        << variant << " trace of " << prog.length() << " lines";
+    if ((built->static_reads | built->static_writes) != 0) ++with_static_rows;
+    ++checked;
+  });
+  EXPECT_EQ(checked, store->trace_count());
+  EXPECT_GT(with_static_rows, 0u);  // the SPM-row derivation is exercised
+
+  const auto h0 = store->load_trace("cross", cross[0]);
+  const auto h1 = store->load_trace("cross", cross[1]);
+  ASSERT_NE(h0, nullptr);
+  ASSERT_NE(h1, nullptr);
+  EXPECT_TRUE(h0->has_cross);
+  EXPECT_TRUE(h1->has_cross);
+  EXPECT_EQ(cgra::tc::make_sync_plan(h0.get(), h1.get()).mode,
+            cgra::tc::SyncPlan::Mode::kLockstep);
+  EXPECT_TRUE(store->verify_all(&why)) << why;
+}
+
+/// verify_all recompiles every stored trace from its program key: an entry
+/// that parses cleanly but differs from the in-process compile (codec
+/// drift) is rejected.
+TEST(Artifact, VerifyRejectsTraceThatDiffersFromItsCompile) {
+  // A source that serves a subtly wrong trace, which the cache then holds
+  // and the serializer writes out.
+  struct SkewedSource : cgra::TraceSource {
+    std::shared_ptr<const cgra::CompiledTrace> load_trace(
+        const std::string&, const isa::ColumnProgram& prog) override {
+      auto t = std::make_shared<cgra::CompiledTrace>(*cgra::compile_trace(prog));
+      t->blocks.front().fuse_self_loop = !t->blocks.front().fuse_self_loop;
+      return t;
+    }
+  } skewed;
+  isa::ImageCache cache;
+  cache.traces().set_source(&skewed);
+  ASSERT_TRUE(cache.traces().get_or_compile("skew", cross_programs()[0])->ok);
+  cache.traces().set_source(nullptr);
+  const std::string path = temp_path("skewed");
+  write_file(path, serialize_cache(cache));
+  std::string why;
+  const auto store = Store::open(path, &why);
+  ASSERT_NE(store, nullptr) << why;
+  EXPECT_FALSE(store->verify_all(&why));
+  EXPECT_NE(why.find("differs from compile_trace"), std::string::npos) << why;
+}
+
+/// A fleet prewarmed from an artifact replays a job stream exactly like a
+/// cold fleet: same outputs, cycles and energy, and the same replay tiers
+/// -- launches, rollbacks, sync points and per-tier cycles. cfft-256 runs
+/// its single-chunk stages split across both columns (fft_stage_split),
+/// whose static SPM overlap puts them on the scheduled tier; a hydrated
+/// trace that lost its dependence facts would free-run, conflict and roll
+/// back on every such launch instead.
+TEST(Artifact, PrewarmedFleetTakesColdFleetReplayTiers) {
+  const soc::ArchConfig arch{.exec_mode = cgra::ExecMode::kTraceCache};
+  isa::ImageCache built;
+  populate_catalog(built, {arch});
+  const std::string path = temp_path("prewarm_tiers");
+  write_file(path, serialize_cache(built));
+
+  std::vector<Job> jobs;
+  for (unsigned n : {256u, 2048u, 256u}) {
+    std::vector<std::int32_t> x(2 * n);
+    for (unsigned i = 0; i < x.size(); ++i) {
+      x[i] = static_cast<std::int32_t>((i * 97 + n) % 2048) - 1024;
+    }
+    jobs.push_back(Job{runtime::CfftJob{n, runtime::make_buffer(x)}, "cfft", -1});
+  }
+  std::vector<std::int32_t> taps(kernels::kFirTaps, 1024);
+  std::vector<std::int32_t> x(256, 77);
+  jobs.push_back(Job{runtime::FirJob{256, runtime::make_buffer(taps),
+                                     runtime::make_buffer(x)},
+                     "fir", -1});
+
+  auto run = [&](bool warm) {
+    DevicePool::Config cfg;
+    cfg.device_arch = {arch};
+    cfg.artifact_path = warm ? path : "";
+    cfg.artifact_env = false;
+    cfg.artifact_prewarm = warm;
+    DevicePool pool(cfg);
+    std::vector<runtime::JobResult> results;
+    for (auto& h : pool.submit_batch(jobs)) results.push_back(h.get());
+    pool.wait_idle();
+    return std::make_pair(std::move(results), pool.stats());
+  };
+  const auto [cold, cold_stats] = run(false);
+  const auto [warm, warm_stats] = run(true);
+  ASSERT_TRUE(warm_stats.artifact_attached);
+  EXPECT_EQ(warm_stats.trace_cache.compiled, 0u);  // every trace hydrated
+
+  ASSERT_EQ(warm.size(), cold.size());
+  for (std::size_t i = 0; i < cold.size(); ++i) {
+    EXPECT_EQ(warm[i].output, cold[i].output) << "job " << i;
+    EXPECT_EQ(warm[i].cost.cpu_cycles, cold[i].cost.cpu_cycles) << "job " << i;
+    EXPECT_EQ(warm[i].cost.vwr2a_cycles, cold[i].cost.vwr2a_cycles) << "job " << i;
+    EXPECT_EQ(warm[i].cost.vwr2a_pj, cold[i].cost.vwr2a_pj) << "job " << i;
+  }
+  EXPECT_GT(cold_stats.replay_sync_points, 0u);  // the scheduled tier ran
+  EXPECT_EQ(warm_stats.traced_launches, cold_stats.traced_launches);
+  EXPECT_EQ(warm_stats.traced_rollbacks, cold_stats.traced_rollbacks);
+  EXPECT_EQ(warm_stats.replay_sync_points, cold_stats.replay_sync_points);
+  EXPECT_EQ(warm_stats.replay_decoupled_cycles,
+            cold_stats.replay_decoupled_cycles);
+  EXPECT_EQ(warm_stats.replay_lockstep_cycles,
+            cold_stats.replay_lockstep_cycles);
+  EXPECT_EQ(warm_stats.replay_interpreted_cycles,
+            cold_stats.replay_interpreted_cycles);
+}
 
 TEST(Artifact, PoolHydratesImagesAndTraces) {
   const std::string path = temp_path("hydrate");

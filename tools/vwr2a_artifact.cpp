@@ -6,7 +6,9 @@
 //                                   artifact (deterministic: byte-identical
 //                                   across runs and machines)
 //   vwr2a_artifact inspect <path>   print header, image keys, trace summary
-//   vwr2a_artifact verify <path>    validate checksums and parse every entry
+//   vwr2a_artifact verify <path>    validate checksums, parse every entry,
+//                                   and check every trace equals a fresh
+//                                   compile of its program
 //
 // Exit status: 0 on success, 1 on usage error, 2 when verify/inspect reject
 // the file.
@@ -29,7 +31,8 @@ int usage() {
                "usage: vwr2a_artifact build|inspect|verify <path>\n"
                "  build    write the full kernel-catalog artifact to <path>\n"
                "  inspect  print the artifact's header and contents\n"
-               "  verify   validate checksums and parse every entry\n");
+               "  verify   validate checksums, parse every entry, and\n"
+               "           recompile every trace to check it matches\n");
   return 1;
 }
 
