@@ -50,8 +50,6 @@
 
 namespace vwr2a::cgra {
 
-struct QuadStep;  // column_replay.cpp: a fused-loop line, routing resolved
-
 /// Per-RC register file (R0, R1). The RC result registers are
 /// Column::rc_outputs().
 struct RcState {
@@ -211,22 +209,13 @@ class Column {
   void exec_quad_fast(const tc::Line& L);
   void exec_quad_rcs(const tc::Line& L);
   void quad_load(const tc::Src& s, Word* v) const;
-  /// Replays the whole trip count of a fused DBNZ self-loop. Quad lines
-  /// with at most an index step and an SRF load (the elementwise and
-  /// multiply-accumulate work of every kernel inner loop) get their operand
-  /// routing and opcode dispatch resolved once for the trip count instead
-  /// of per line; the other lines replay through exec_dispatch. The
-  /// per-line load/compute/store order is preserved wherever it is
-  /// observable, so results are bit-identical even when a destination
-  /// aliases a source.
+  /// Replays the whole trip count of a fused DBNZ self-loop: through its
+  /// loop plan when it has one and the trip count fits a slice, else line
+  /// by line.
   void run_fused_loop(const tc::Block& b, std::uint64_t iters);
-  /// The elementwise form of run_fused_loop for an all-quad body whose
-  /// index walks +-1 once per iteration over at most one slice: every
-  /// iteration then touches its own slice word, so each line runs over all
-  /// words before the next line starts. Returns false when the body does
-  /// not qualify (a register carried across iterations, other steps).
-  bool run_fused_map(const tc::Block& b, std::uint64_t iters,
-                     QuadStep* steps);
+  /// Runs `n` (<= kSliceWords) iterations of a loop plan from the current
+  /// slice index; `loaded` holds the words of its ride-along loads.
+  void run_loop_plan(const tc::LoopPlan& plan, unsigned n, const Word* loaded);
   void exec_dispatch(const tc::Line& L) {
     L.kind == tc::Line::Kind::kQuadFast ? exec_quad_fast(L)
                                         : exec_line(L);

@@ -8,7 +8,6 @@
 #include "cgra/column.hpp"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "cgra/alu.hpp"
 #include "cgra/shuffle.hpp"
@@ -485,251 +484,116 @@ void Column::step_traced() {
   pc_ = next;
 }
 
-/// One quad line of a fused loop body with its operand routing
-/// resolved once per trip count. Each operand holds a pointer per lane,
-/// offset by the slice index when it is a VWR row: VWR rows, the per-RC
-/// register files and the SRF are all addressed in place, so steps
-/// interleave freely with lines replayed generically.
-struct QuadStep {
-  using Fn = void (*)(const QuadStep&, unsigned idx, Word* out);
-  using MapFn = void (*)(const QuadStep&, unsigned lo, unsigned n);
-  struct Operand {
-    std::array<Word*, arch::kRcsPerColumn> lane;
-    unsigned idx_mask;  ///< ~0 for a VWR row (the slice index applies), 0
-    Word* at(unsigned idx, unsigned r) const {
-      return lane[r] + (idx & idx_mask);
-    }
-  };
-  Fn run;     ///< one execution, opcode fixed at compile time; null: the
-              ///< line replays through exec_dispatch
-  MapFn map;  ///< distributed form only: see quad_row_map
-  Operand a, b, d;
-  std::int32_t step;  ///< MXCU index step after the line
-  Word imm_a, imm_b;  ///< immediate operand values
-  /// An LSU scalar load riding along (SPM word -> SRF), or null.
-  const tc::LsuUop* load;
-};
-
-namespace {
-
-/// Executes one step. All four lanes load before any stores, like one
-/// interpreter cycle, so a destination that aliases a source stays
-/// bit-identical.
-template <typename Alu>
-void quad_step(const QuadStep& s, unsigned idx, Word* o) {
-  constexpr unsigned kN = arch::kRcsPerColumn;
-  Word av[kN], bv[kN];
-  for (unsigned r = 0; r < kN; ++r) {
-    av[r] = *s.a.at(idx, r);
-    bv[r] = *s.b.at(idx, r);
-  }
-  for (unsigned r = 0; r < kN; ++r) o[r] = Alu{}(av[r], bv[r]);
-  for (unsigned r = 0; r < kN; ++r) *s.d.at(idx, r) = o[r];
-}
-
-/// One line of a distributed loop body (see Column::run_fused_loop) over
-/// slice words [lo, lo + n) of every lane. Row operands advance with the
-/// word; the others hold one value per lane. Computed in blocks the
-/// compiler can vectorize; each block loads before it stores, so a
-/// destination that is also a source stays exact.
-template <typename Alu, bool kRowA, bool kRowB>
-void quad_row_map(const QuadStep& s, unsigned lo, unsigned n) {
-  constexpr unsigned kBlk = 8;
-  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-    const Word* a = kRowA ? s.a.lane[r] + lo : s.a.lane[r];
-    const Word* b = kRowB ? s.b.lane[r] + lo : s.b.lane[r];
-    Word* d = s.d.lane[r] + lo;
-    unsigned i = 0;
-    for (; i + kBlk <= n; i += kBlk) {
-      Word t[kBlk];
-      for (unsigned k = 0; k < kBlk; ++k) {
-        t[k] = Alu{}(kRowA ? a[i + k] : a[0], kRowB ? b[i + k] : b[0]);
-      }
-      for (unsigned k = 0; k < kBlk; ++k) d[i + k] = t[k];
-    }
-    for (; i < n; ++i) d[i] = Alu{}(kRowA ? a[i] : a[0], kRowB ? b[i] : b[0]);
-  }
-}
-
-} // namespace
-
 void Column::run_fused_loop(const tc::Block& b, std::uint64_t iters) {
-  using K = tc::Src::K;
+  const tc::LoopPlan& plan = b.plan;
+  const tc::Line* lines = trace_->lines.data() + b.first;
+  auto replay_iteration = [&] {
+    for (unsigned i = 0; i < b.len; ++i) exec_dispatch(lines[i]);
+  };
+  if (plan.lines.empty() || iters > arch::kSliceWords) {
+    for (std::uint64_t it = 0; it < iters; ++it) replay_iteration();
+    return;
+  }
+  // Ride-along loads re-read the same words every iteration: read each
+  // once, like the first iteration would (range, access mask).
+  std::array<Word, arch::kProgramWords> loaded;
+  std::array<Word, arch::kSrfEntries> steady = srf_.regs();
+  for (std::size_t k = 0; k < plan.loads.size(); ++k) {
+    loaded[k] = spm_read_word(plan.loads[k].word);
+    steady[plan.loads[k].srf] = loaded[k];
+  }
+  unsigned n = static_cast<unsigned>(iters);
+  for (unsigned e = 0; e < arch::kSrfEntries; ++e) {
+    if (((plan.entry_srf >> e) & 1u) != 0 && srf_.regs()[e] != steady[e]) {
+      // The first iteration reads entry values no later one sees.
+      replay_iteration();
+      if (--n == 0) return;
+      break;
+    }
+  }
+  run_loop_plan(plan, n, loaded.data());
+  srf_.regs() = steady;
+}
+
+void Column::run_loop_plan(const tc::LoopPlan& plan, unsigned n,
+                           const Word* loaded) {
+  using R = tc::MapRef::K;
   constexpr unsigned S = arch::kSliceWords;
   constexpr unsigned kN = arch::kRcsPerColumn;
-  const tc::Line* lines = trace_->lines.data() + b.first;
-
-  // Route every quad line that carries at most an index step and an SRF
-  // load (the elementwise and multiply-accumulate bodies of the kernels);
-  // the other lines keep the generic per-line replay.
-  auto rf = [this](unsigned e) {
-    return QuadStep::Operand{
-        {&rcs_[0].rf[e], &rcs_[1].rf[e], &rcs_[2].rf[e], &rcs_[3].rf[e]}, 0};
-  };
-  auto row = [this](unsigned v) {
-    Word* p = vwrs_[v].row().data();
-    return QuadStep::Operand{{p, p + S, p + 2 * S, p + 3 * S}, ~0u};
-  };
-  auto broadcast = [](Word* p) { return QuadStep::Operand{{p, p, p, p}, 0}; };
-  auto route = [&](const tc::Src& src, Word& imm) {
-    switch (src.k) {
-      case K::kRf:
-        return rf(src.idx);
-      case K::kVwr:
-        return row(src.vwr);
-      case K::kSrf:  // read live: a generic line of the body may write it
-        return broadcast(&srf_.regs()[src.idx]);
-      default:  // kImm (quad_shape admits no lane-crossing source)
-        imm = src.imm;
-        return broadcast(&imm);
-    }
-  };
-  QuadStep steps[arch::kProgramWords];  // only [0, b.len) is filled
-  Word sink[kN];                        // kNone destinations
-  bool all_quad = true;  // every line quad-fast: run_fused_map may apply
-  bool any_load = false;
-  for (unsigned i = 0; i < b.len; ++i) {
-    const tc::Line& L = lines[i];
-    QuadStep& st = steps[i];
-    st = QuadStep{};
-    const bool quad_fast = L.kind == tc::Line::Kind::kQuadFast;
-    const bool srf_load = L.quad && !L.has_lcu && L.has_lsu &&
-                          L.lsu.op == isa::LsuOp::kLdSrf;
-    const bool index_step =
-        !L.has_mxcu || L.mxcu.op == isa::MxcuOp::kAddIdx;
-    all_quad = all_quad && quad_fast && index_step;
-    if (!(quad_fast || srf_load) || !index_step) continue;
-    if (srf_load) {
-      st.load = &L.lsu;
-      any_load = true;
-    }
-    const tc::RcUop& q = L.rc[0];
-    st.a = route(q.a, st.imm_a);
-    // A unary op ignores its second operand; keep it readable.
-    st.b = q.unary ? broadcast(&st.imm_b) : route(q.b, st.imm_b);
-    switch (q.d) {
-      case tc::Dst::kRf:
-        st.d = rf(q.idx);
-        break;
-      case tc::Dst::kVwr:
-        st.d = row(q.vwr);
-        break;
-      default:  // kNone: the result only reaches rc_prev_
-        st.d = {{sink, sink + 1, sink + 2, sink + 3}, 0};
-        break;
-    }
-    st.step = L.has_mxcu ? L.mxcu.imm : 0;
-    with_alu_op(q.op,
-                [&st](auto alu) { st.run = &quad_step<decltype(alu)>; });
-  }
-
-  if (all_quad && run_fused_map(b, iters, steps)) return;
-
-  // Per-iteration replay. Every step leaves its outputs in rc_prev_, where
-  // a generic line of the body may read them; one instantiation per body
-  // kind keeps the load check out of bodies without loads.
-  auto replay = [&](auto with_loads) {
-    for (std::uint64_t it = 0; it < iters; ++it) {
-      for (unsigned i = 0; i < b.len; ++i) {
-        const QuadStep& st = steps[i];
-        if (st.run == nullptr) {
-          exec_dispatch(lines[i]);
-          continue;
-        }
-        if (with_loads && st.load != nullptr) {
-          // The load holds the SRF port, so no RC of the line reads the
-          // SRF; the loaded word commits last, as in the interpreter.
-          const Word v = spm_read_word(lsu_addr(*st.load));
-          st.run(st, idx_, rc_prev_.data());
-          srf_.regs()[st.load->srf_data] = v;
-        } else {
-          st.run(st, idx_, rc_prev_.data());
-        }
-        idx_ = static_cast<unsigned>(static_cast<SWord>(idx_) + st.step) % S;
+  // Position p of every line is iteration p (walking up) or n - 1 - p
+  // (walking down), so each operand advances with p; `base` is the slice
+  // word of position 0 at offset 0.
+  const unsigned base = plan.step > 0 ? idx_ : (idx_ + S - (n - 1)) % S;
+  const unsigned last = plan.step > 0 ? n - 1 : 0;  // the last iteration
+  std::array<Word, arch::kVwrWords> temp[arch::kRcRegs + 1];  // + sink
+  // The four lane pointers of an operand at slice word `word`, position p.
+  auto lanes = [&](const tc::MapRef& m, unsigned word, unsigned p,
+                   auto& out) {
+    switch (m.k) {
+      case R::kRow:
+      case R::kTemp: {
+        Word* row = m.k == R::kRow ? vwrs_[m.i].row().data() + word
+                                   : temp[m.i].data() + p;
+        for (unsigned r = 0; r < kN; ++r) out[r] = row + r * S;
+        return;
+      }
+      case R::kReg:  // a per-lane constant, or a fold's accumulator
+        for (unsigned r = 0; r < kN; ++r) out[r] = &rcs_[r].rf[m.i];
+        return;
+      default: {
+        const Word* v = m.k == R::kSrf    ? &srf_.regs()[m.i]
+                        : m.k == R::kLoad ? loaded + m.i
+                                          : &m.imm;
+        for (unsigned r = 0; r < kN; ++r) out[r] = v;
+        return;
       }
     }
   };
-  if (any_load) {
-    replay(std::true_type{});
-  } else {
-    replay(std::false_type{});
-  }
-}
-
-bool Column::run_fused_map(const tc::Block& b, std::uint64_t iters,
-                           QuadStep* steps) {
-  using K = tc::Src::K;
-  constexpr unsigned S = arch::kSliceWords;
-  constexpr unsigned kN = arch::kRcsPerColumn;
-  const tc::Line* lines = trace_->lines.data() + b.first;
-  const std::int32_t step = steps[b.len - 1].step;
-  if (iters > S || (step != 1 && step != -1)) return false;
-  for (unsigned i = 0; i + 1 < b.len; ++i) {
-    if (steps[i].step != 0) return false;
-  }
-  // Every iteration works on its own slice word, so the only values that
-  // cross iterations are RC registers read before the body writes them.
-  // Registers the body never writes are per-lane constants; those it writes
-  // before reading become temporaries, one word per iteration.
-  std::array<bool, arch::kRcRegs> written{};
-  std::array<bool, arch::kRcRegs> read_first{};
-  for (unsigned i = 0; i < b.len; ++i) {
-    const tc::RcUop& q = lines[i].rc[0];
-    for (const tc::Src* src : {&q.a, &q.b}) {
-      if (src == &q.b && q.unary) continue;
-      if (src->k == K::kRf && !written[src->idx]) read_first[src->idx] = true;
-    }
-    if (q.d == tc::Dst::kRf) written[q.idx] = true;
-  }
-  for (unsigned e = 0; e < arch::kRcRegs; ++e) {
-    if (written[e] && read_first[e]) return false;  // loop-carried
-  }
-
-  std::array<Word, arch::kVwrWords> temp[arch::kRcRegs + 1];  // + kNone
-  auto temp_row = [&temp](unsigned t) {
-    Word* p = temp[t].data();
-    return QuadStep::Operand{{p, p + S, p + 2 * S, p + 3 * S}, ~0u};
-  };
-  for (unsigned i = 0; i < b.len; ++i) {
-    const tc::RcUop& q = lines[i].rc[0];
-    QuadStep& st = steps[i];
-    if (q.a.k == K::kRf && written[q.a.idx]) st.a = temp_row(q.a.idx);
-    if (!q.unary && q.b.k == K::kRf && written[q.b.idx]) {
-      st.b = temp_row(q.b.idx);
-    }
-    if (q.d == tc::Dst::kRf) st.d = temp_row(q.idx);
-    if (q.d == tc::Dst::kNone) st.d = temp_row(arch::kRcRegs);
-    const bool row_a = st.a.idx_mask != 0;
-    const bool row_b = st.b.idx_mask != 0;
-    with_alu_op(q.op, [&st, row_a, row_b](auto alu) {
-      using Alu = decltype(alu);
-      st.map = row_a ? (row_b ? &quad_row_map<Alu, true, true>
-                              : &quad_row_map<Alu, true, false>)
-                     : (row_b ? &quad_row_map<Alu, false, true>
-                              : &quad_row_map<Alu, false, false>);
-    });
-  }
-
-  // The visited words form one circular run of `iters` words: map every
-  // line over it in body order, as at most two linear segments.
-  const unsigned n = static_cast<unsigned>(iters);
-  const unsigned last = (idx_ + (n - 1) * static_cast<unsigned>(step)) % S;
-  const unsigned lo = step == 1 ? idx_ : last;
-  const unsigned head = std::min(n, S - lo);
-  for (unsigned i = 0; i < b.len; ++i) {
-    steps[i].map(steps[i], lo, head);
-    if (head < n) steps[i].map(steps[i], 0, n - head);
+  // Each line runs over all n positions before the next line starts, as
+  // at most two segments of linear slice words.
+  for (const tc::MapLine& m : plan.lines) {
+    const unsigned w0 = (base + m.off) % S;
+    auto segment = [&](unsigned p, unsigned count) {
+      const unsigned word = (w0 + p) % S;
+      tc::SrcLanes a, b;
+      tc::DstLanes d;
+      lanes(m.a, word, p, a);
+      lanes(m.b, word, p, b);
+      if (m.d.k == R::kReg) {
+        for (unsigned r = 0; r < kN; ++r) d[r] = &rcs_[r].rf[m.d.i];
+      } else {
+        Word* row = m.d.k == R::kRow ? vwrs_[m.d.i].row().data() + word
+                                     : temp[m.d.i].data() + p;
+        for (unsigned r = 0; r < kN; ++r) d[r] = row + r * S;
+      }
+      m.fn(a, b, d, count);
+    };
+    const unsigned head = std::min(n, S - w0);
+    segment(0, head);
+    if (head < n) segment(head, n - head);
   }
   // Architectural state after the last iteration: its register values,
   // its last line's results, and the index one step past it.
   for (unsigned e = 0; e < arch::kRcRegs; ++e) {
-    if (!written[e]) continue;
+    if (((plan.temps >> e) & 1u) == 0) continue;
     for (unsigned r = 0; r < kN; ++r) rcs_[r].rf[e] = temp[e][r * S + last];
   }
-  const QuadStep& tail = steps[b.len - 1];
-  for (unsigned r = 0; r < kN; ++r) rc_prev_[r] = tail.d.lane[r][last];
-  idx_ = (last + static_cast<unsigned>(step)) % S;
-  return true;
+  const tc::MapLine& tail = plan.lines.back();
+  const unsigned tail_word = (base + tail.off + last) % S;
+  for (unsigned r = 0; r < kN; ++r) {
+    switch (tail.d.k) {
+      case R::kRow:
+        rc_prev_[r] = vwrs_[tail.d.i].row()[r * S + tail_word];
+        break;
+      case R::kTemp:
+        rc_prev_[r] = temp[tail.d.i][r * S + last];
+        break;
+      default:  // kReg: the fold's accumulator
+        rc_prev_[r] = rcs_[r].rf[tail.d.i];
+        break;
+    }
+  }
+  idx_ = (idx_ + n * static_cast<unsigned>(static_cast<int>(plan.step))) % S;
 }
 
 Cycle Column::step_block_traced(Cycle budget_left) {

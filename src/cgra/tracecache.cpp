@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "cgra/alu.hpp"
+
 namespace vwr2a::cgra {
 
 namespace {
@@ -45,6 +47,226 @@ void add_static_spm(const tc::Line& line, std::uint64_t& sread,
   (is_write ? swrite : sread) |= 1ull << row;
 }
 
+/// One map line over n positions, opcode and operand shapes fixed at
+/// compile time. Computed in blocks the compiler can vectorize; each block
+/// loads before it stores, so a destination that is also a source stays
+/// exact.
+template <typename Alu, bool kRowA, bool kRowB>
+void map_run(const Word* pa, const Word* pb, Word* pd, unsigned n) {
+  constexpr unsigned kBlk = 8;
+  unsigned i = 0;
+  for (; i + kBlk <= n; i += kBlk) {
+    Word t[kBlk];
+    for (unsigned k = 0; k < kBlk; ++k) {
+      t[k] = Alu{}(kRowA ? pa[i + k] : pa[0], kRowB ? pb[i + k] : pb[0]);
+    }
+    for (unsigned k = 0; k < kBlk; ++k) pd[i + k] = t[k];
+  }
+  for (; i < n; ++i) pd[i] = Alu{}(kRowA ? pa[i] : pa[0], kRowB ? pb[i] : pb[0]);
+}
+
+/// A map line over the four lanes (tc::MapFn).
+template <typename Alu, bool kRowA, bool kRowB>
+void lane_map(const tc::SrcLanes& a, const tc::SrcLanes& b,
+              const tc::DstLanes& d, unsigned n) {
+  constexpr unsigned S = arch::kSliceWords;
+  auto uniform = [](const tc::SrcLanes& x) {
+    return x[0] == x[1] && x[0] == x[2] && x[0] == x[3];
+  };
+  // A whole slice per lane: the lanes of a row or temporary are one
+  // contiguous row, so with lane-uniform broadcasts it is one run.
+  if (n == S && (kRowA || uniform(a)) && (kRowB || uniform(b))) {
+    map_run<Alu, kRowA, kRowB>(a[0], b[0], d[0], arch::kVwrWords);
+    return;
+  }
+  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
+    map_run<Alu, kRowA, kRowB>(a[r], b[r], d[r], n);
+  }
+}
+
+/// An accumulator line R = R + x over n positions. The RC adder wraps
+/// modulo 2^32, so summing the terms first and adding once gives the
+/// register the value n sequential adds leave.
+template <bool kRowX>
+void lane_fold(const tc::SrcLanes& x, const tc::SrcLanes&,
+               const tc::DstLanes& acc, unsigned n) {
+  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
+    const Word* px = x[r];
+    Word sum = 0;
+    for (unsigned i = 0; i < n; ++i) sum += kRowX ? px[i] : px[0];
+    *acc[r] = AluFn<isa::RcOp::kSadd>{}(*acc[r], sum);
+  }
+}
+
+/// Compiles the loop plan of the fused self-loop `b`, or returns an empty
+/// plan when one of the map rules fails (docs/tracecache.md, "Fused
+/// hardware loops"). Every iteration then works on its own slice words and
+/// its own temporaries; the only values crossing iterations are per-lane
+/// constants, wrap-around sums and the words ride-along loads re-read.
+tc::LoopPlan plan_loop(const CompiledTrace& trace, const tc::Block& b) {
+  using K = tc::Src::K;
+  using R = tc::MapRef::K;
+  constexpr unsigned S = arch::kSliceWords;
+  const tc::Line* lines = trace.lines.data() + b.first;
+  const unsigned len = b.len;
+  tc::LoopPlan plan;
+
+  // Shape: quad lines with at most an index step and a kImm SRF load.
+  std::array<unsigned, arch::kProgramWords> off{};
+  unsigned at = 0;
+  for (unsigned i = 0; i < len; ++i) {
+    const tc::Line& L = lines[i];
+    if (!L.quad || L.has_lcu) return {};
+    if (L.has_mxcu && L.mxcu.op != isa::MxcuOp::kAddIdx) return {};
+    if (L.has_lsu && (L.lsu.op != LsuOp::kLdSrf ||
+                      L.lsu.amode != LsuAddrMode::kImm ||
+                      static_cast<unsigned>(L.lsu.imm) >= arch::kSpmWords)) {
+      return {};
+    }
+    off[i] = at;
+    if (L.has_mxcu) at = (at + static_cast<unsigned>(L.mxcu.imm)) % S;
+  }
+  // (a) The index walks +-1 per iteration, so n <= kSliceWords iterations
+  // visit distinct words at every offset.
+  if (at != 1 && at != S - 1) return {};
+  plan.step = at == 1 ? 1 : -1;
+
+  // (a) A row the body writes is read and written at one offset only, so
+  // no iteration sees another iteration's word.
+  std::array<int, arch::kVwrsPerColumn> row_off;
+  row_off.fill(-1);
+  for (unsigned i = 0; i < len; ++i) {
+    const tc::RcUop& q = lines[i].rc[0];
+    if (q.d == tc::Dst::kVwr) row_off[q.vwr] = static_cast<int>(off[i]);
+  }
+  for (unsigned i = 0; i < len; ++i) {
+    const tc::RcUop& q = lines[i].rc[0];
+    for (const tc::Src* src : {&q.a, &q.b}) {
+      if (src == &q.b && q.unary) continue;
+      if (src->k == K::kVwr && row_off[src->vwr] >= 0 &&
+          row_off[src->vwr] != static_cast<int>(off[i])) {
+        return {};
+      }
+    }
+    if (q.d == tc::Dst::kVwr && row_off[q.vwr] != static_cast<int>(off[i])) {
+      return {};
+    }
+  }
+
+  // Registers: written before read -> a temporary per iteration; never
+  // written -> a per-lane constant; read before written -> loop-carried,
+  // which maps only as (b) an accumulator R = R + x, R's only writer and
+  // only reader.
+  std::array<unsigned, arch::kRcRegs> writers{}, readers{};
+  std::array<bool, arch::kRcRegs> written{}, read_first{};
+  for (unsigned i = 0; i < len; ++i) {
+    const tc::RcUop& q = lines[i].rc[0];
+    for (const tc::Src* src : {&q.a, &q.b}) {
+      if (src == &q.b && q.unary) continue;
+      if (src->k != K::kRf) continue;
+      ++readers[src->idx];
+      if (!written[src->idx]) read_first[src->idx] = true;
+    }
+    if (q.d == tc::Dst::kRf) {
+      written[q.idx] = true;
+      ++writers[q.idx];
+    }
+  }
+  auto accumulates = [](const tc::RcUop& q, unsigned e) {
+    const bool ra = q.a.k == K::kRf && q.a.idx == e;
+    const bool rb = q.b.k == K::kRf && q.b.idx == e;
+    return q.op == isa::RcOp::kSadd && q.d == tc::Dst::kRf && q.idx == e &&
+           ra != rb;
+  };
+  std::array<bool, arch::kRcRegs> acc{};
+  for (unsigned e = 0; e < arch::kRcRegs; ++e) {
+    if (!written[e] || !read_first[e]) continue;
+    if (writers[e] != 1 || readers[e] != 1) return {};
+    for (unsigned i = 0; i < len; ++i) {
+      const tc::RcUop& q = lines[i].rc[0];
+      if (q.d == tc::Dst::kRf && q.idx == e && !accumulates(q, e)) return {};
+    }
+    acc[e] = true;
+  }
+  for (unsigned e = 0; e < arch::kRcRegs; ++e) {
+    if (written[e] && !acc[e]) plan.temps |= 1u << e;
+  }
+
+  // (c) Ride-along loads: the body stores nothing, so each load re-reads
+  // one word; a line reads what the body's last earlier load of its entry
+  // leaves (the previous iteration's, wrapping around).
+  std::array<int, arch::kSrfEntries> last_load;
+  last_load.fill(-1);
+  for (unsigned i = 0; i < len; ++i) {
+    if (!lines[i].has_lsu) continue;
+    last_load[lines[i].lsu.srf_data] = static_cast<int>(plan.loads.size());
+    plan.loads.push_back({lines[i].lsu.srf_data,
+                          static_cast<std::uint16_t>(lines[i].lsu.imm)});
+  }
+  std::array<int, arch::kSrfEntries> loaded;
+  loaded.fill(-1);
+
+  auto source = [&](const tc::Src& src) -> tc::MapRef {
+    switch (src.k) {
+      case K::kRf:
+        return {written[src.idx] ? R::kTemp : R::kReg, src.idx, 0};
+      case K::kVwr:
+        return {R::kRow, src.vwr, 0};
+      case K::kSrf:
+        if (loaded[src.idx] >= 0) {
+          return {R::kLoad, static_cast<std::uint8_t>(loaded[src.idx]), 0};
+        }
+        if (last_load[src.idx] >= 0) {
+          plan.entry_srf |= 1u << src.idx;
+          return {R::kLoad, static_cast<std::uint8_t>(last_load[src.idx]), 0};
+        }
+        return {R::kSrf, src.idx, 0};
+      default:  // kImm (quad_shape admits no lane-crossing source)
+        return {R::kImm, 0, src.imm};
+    }
+  };
+  unsigned load = 0;
+  for (unsigned i = 0; i < len; ++i) {
+    const tc::Line& L = lines[i];
+    const tc::RcUop& q = L.rc[0];
+    tc::MapLine m;
+    m.off = static_cast<std::uint8_t>(off[i]);
+    if (q.d == tc::Dst::kRf && acc[q.idx]) {
+      m.a = source(q.a.k == K::kRf && q.a.idx == q.idx ? q.b : q.a);
+      m.d = {R::kReg, q.idx, 0};
+      m.fn = m.a.row() ? &lane_fold<true> : &lane_fold<false>;
+    } else {
+      m.a = source(q.a);
+      m.b = q.unary ? tc::MapRef{} : source(q.b);
+      switch (q.d) {
+        case tc::Dst::kRf:
+          m.d = {R::kTemp, q.idx, 0};
+          break;
+        case tc::Dst::kVwr:
+          m.d = {R::kRow, q.vwr, 0};
+          break;
+        default:  // kNone: the result only reaches rc_prev_
+          m.d = {R::kTemp, arch::kRcRegs, 0};
+          break;
+      }
+      const bool row_a = m.a.row();
+      const bool row_b = m.b.row();
+      with_alu_op(q.op, [&m, row_a, row_b](auto alu) {
+        using Alu = decltype(alu);
+        m.fn = row_a ? (row_b ? &lane_map<Alu, true, true>
+                              : &lane_map<Alu, true, false>)
+                     : (row_b ? &lane_map<Alu, false, true>
+                              : &lane_map<Alu, false, false>);
+      });
+    }
+    // A load commits after its line's RCs (which cannot read the SRF: the
+    // load holds its single port).
+    if (L.has_lsu) loaded[L.lsu.srf_data] = static_cast<int>(load++);
+    plan.lines.push_back(m);
+  }
+  return plan;
+}
+
 } // namespace
 
 void derive_dependence_facts(CompiledTrace& trace) {
@@ -60,6 +282,7 @@ void derive_dependence_facts(CompiledTrace& trace) {
     for (unsigned i = b.first; i < b.first + b.len; ++i) {
       add_static_spm(trace.lines[i], b.sread, b.swrite);
     }
+    b.plan = b.fuse_self_loop ? plan_loop(trace, b) : tc::LoopPlan{};
     trace.static_reads |= b.sread;
     trace.static_writes |= b.swrite;
   }

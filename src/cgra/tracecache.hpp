@@ -17,9 +17,9 @@
 //     list; replay only counts block executions and folds count x delta
 //     into the meter once per launch;
 //   * self-loop DBNZ blocks (the hardware-loop idiom every kernel uses)
-//     additionally replay their whole trip count in one fused native loop,
-//     with operand routing and opcode dispatch resolved once per trip
-//     count.
+//     additionally replay their whole trip count at once: a body that
+//     passes the map rules is compiled into a LoopPlan that runs each line
+//     over every iteration as one vectorized lane map (or lane sum).
 //
 // Identity contract: a traced run must be bit-identical to the interpreted
 // run -- same outputs, same cycle counts, same energy event counts (hence
@@ -61,6 +61,77 @@ enum class ExecMode : std::uint8_t {
 
 namespace tc {
 
+/// Per-lane source pointers of one map operand over a run of positions: a
+/// row operand advances one word per position, a broadcast one stays put.
+using SrcLanes = std::array<const Word*, arch::kRcsPerColumn>;
+/// Per-lane destination pointers (rows), or accumulators for a fold.
+using DstLanes = std::array<Word*, arch::kRcsPerColumn>;
+
+/// One line of a loop plan over `n` positions. A map computes
+/// d[r][p] = op(a[r][p], b[r][p]); a fold adds every a[r][p] into *d[r]
+/// with the RC adder's wrap-around.
+using MapFn = void (*)(const SrcLanes& a, const SrcLanes& b,
+                       const DstLanes& d, unsigned n);
+
+/// A column-relative operand or destination of a map line.
+struct MapRef {
+  enum class K : std::uint8_t {
+    kRow = 0,  ///< VWR `i`, at the line's slice word
+    kTemp,     ///< temporary row `i`, one word per iteration: a register
+               ///< the body writes before it reads it (kRcRegs: the sink
+               ///< of result-less lines)
+    kReg,      ///< RC register `i`, one value per lane: a source the body
+               ///< never writes, or the destination of a fold
+    kSrf,      ///< SRF entry `i`, read live (the body never loads it)
+    kLoad,     ///< the word ride-along load `i` of the body leaves in the SRF
+    kImm,      ///< the constant `imm`
+  };
+  K k = K::kImm;
+  std::uint8_t i = 0;
+  Word imm = 0;
+
+  bool row() const { return k == K::kRow || k == K::kTemp; }
+  bool operator==(const MapRef&) const = default;
+};
+
+/// One planned body line: routing, the ALU map (or, when `d` is a
+/// register, the fold R = R + a) and the slice index offset it executes
+/// at, relative to the iteration's start.
+struct MapLine {
+  MapFn fn = nullptr;
+  MapRef a, b, d;
+  std::uint8_t off = 0;  ///< mod kSliceWords
+
+  bool operator==(const MapLine&) const = default;
+};
+
+/// A kImm SPM word -> SRF load riding along in a planned body.
+struct MapLoad {
+  std::uint8_t srf = 0;
+  std::uint16_t word = 0;
+
+  bool operator==(const MapLoad&) const = default;
+};
+
+/// The vectorized form of a fused self-loop, compiled once per trace by
+/// derive_dependence_facts(). Replay runs each body line over all
+/// iterations before the next line starts; the rules that make this exact
+/// are in docs/tracecache.md ("Fused hardware loops"). Empty `lines`: the
+/// body does not map and replays line by line.
+struct LoopPlan {
+  std::vector<MapLine> lines;  ///< one per body line
+  std::int8_t step = 0;        ///< net slice index step per iteration: +-1
+  std::uint8_t temps = 0;      ///< registers left holding their temp row's
+                               ///< last-iteration word (mask over kRcRegs)
+  std::uint8_t entry_srf = 0;  ///< SRF entries read before the body loads
+                               ///< them: on entry each must hold the word
+                               ///< its last load leaves, or the first
+                               ///< iteration replays line by line
+  std::vector<MapLoad> loads;  ///< ride-along loads, body order
+
+  bool operator==(const LoopPlan&) const = default;
+};
+
 /// One superblock: a straight-line run of lines plus its terminator and the
 /// pre-aggregated energy of one full replay.
 struct Block {
@@ -79,6 +150,8 @@ struct Block {
   /// the free-running tier and are validated post hoc by the runtime masks.
   std::uint64_t sread = 0;
   std::uint64_t swrite = 0;
+  /// The map plan of a fused self-loop (derived; see LoopPlan).
+  LoopPlan plan;
 
   bool operator==(const Block&) const = default;
 };
@@ -108,13 +181,14 @@ class CompiledTrace {
   bool operator==(const CompiledTrace&) const = default;
 };
 
-/// Computes the static dependence facts of `trace` from its micro-op lines
-/// and block geometry: every block's sread/swrite, the trace-wide
+/// Computes the derived facts of `trace` from its micro-op lines and block
+/// geometry: every block's sread/swrite and loop plan, the trace-wide
 /// static_reads/static_writes unions and has_cross (overwriting whatever
 /// they held). The one definition of these fields: compile_trace derives
 /// them here, and so does the artifact codec when it hydrates a stored
-/// trace, so a hydrated trace plans the same replay tiers as a compiled
-/// one. Blocks must lie inside `lines` (both producers guarantee it).
+/// trace, so a hydrated trace plans the same replay tiers and loop maps as
+/// a compiled one. Blocks must lie inside `lines` (both producers
+/// guarantee it).
 void derive_dependence_facts(CompiledTrace& trace);
 
 /// Compiles one column program from its line analysis. Never throws on

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <vector>
 
+#include "artifact/builder.hpp"
 #include "bus/ahb.hpp"
 #include "casm/builder.hpp"
 #include "casm/factories.hpp"
@@ -19,6 +21,7 @@
 #include "cgra/vwr2a.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
+#include "isa/image_cache.hpp"
 #include "energy/meter.hpp"
 #include "mem/sram.hpp"
 #include "soc/platform.hpp"
@@ -557,6 +560,277 @@ TEST(TraceCacheFused, MultiLineBodiesMatchInterpreter) {
   expect_fused_identical(mixed(Middle::kNeighbour), "mixed, neighbour reader");
 }
 
+// --- loop-plan map shapes ----------------------------------------------------
+
+/// Serves freshly compiled traces with every loop plan removed, so a rig
+/// replays each fused loop line by line: the reference for the SPM access
+/// masks, which the interpreter does not record.
+class PlanlessTraces : public cgra::TraceSource {
+ public:
+  std::shared_ptr<const cgra::CompiledTrace> load_trace(
+      const std::string&, const isa::ColumnProgram& prog) override {
+    auto t = std::make_shared<cgra::CompiledTrace>(*cgra::compile_trace(prog));
+    for (cgra::tc::Block& b : t->blocks) b.plan = {};
+    return t;
+  }
+};
+
+/// The loop plan compile_trace gives the self-loop of a program built by
+/// map_loop_program (block 1).
+const cgra::tc::LoopPlan& body_plan(
+    const std::shared_ptr<const cgra::CompiledTrace>& trace) {
+  EXPECT_TRUE(trace->ok) << trace->bail_reason;
+  EXPECT_TRUE(trace->blocks.at(1).fuse_self_loop);
+  return trace->blocks.at(1).plan;
+}
+
+/// One line of a map-shape body: a quad RC op, an index step, and an
+/// optional kImm SRF load (entry, SPM word).
+struct MapBodyLine {
+  isa::RcInstr rc;
+  int step = 0;
+  int load_srf = -1;
+  unsigned load_word = 0;
+};
+
+/// A fused self-loop over `body`, entered with LCU r0 = `trips` and the
+/// slice index at `start`.
+isa::ColumnProgram map_loop_program(const std::vector<MapBodyLine>& body,
+                                    unsigned trips, unsigned start) {
+  ProgramBuilder pb;
+  pb.line()
+      .lcu(lcu_set(0, static_cast<int>(trips)))
+      .mxcu(mxcu_set_idx(static_cast<int>(start)))
+      .emit();
+  Label loop = pb.make_label();
+  pb.bind(loop);
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    auto line = pb.line().rc_all(body[i].rc);
+    if (body[i].step != 0) line.mxcu(mxcu_add_idx(body[i].step));
+    if (body[i].load_srf >= 0) {
+      line.lsu(lsu_ld_srf(static_cast<std::uint8_t>(body[i].load_srf),
+                          body[i].load_word));
+    }
+    if (i + 1 == body.size()) line.lcu(lcu_dbnz(0), loop);
+    line.emit();
+  }
+  pb.line().lcu(lcu_exit()).emit();
+  return pb.build();
+}
+
+/// Runs `prog` on an interpreter rig, a trace rig and a trace rig without
+/// loop plans, all seeded alike; when `match_entry` is set, each SRF entry
+/// the body loads starts out holding the word its last load reads. Checks
+/// registers, VWRs, SRF, SPM data and row stamps, meters and cycles
+/// against the interpreter, and the replay's SPM access masks against the
+/// line-by-line replay.
+void expect_map_identical(const isa::ColumnProgram& prog,
+                          const std::vector<MapBodyLine>& body,
+                          bool match_entry, const std::string& what) {
+  Rig ri(ExecMode::kInterpret);
+  Rig rt(ExecMode::kTraceCache);
+  Rig rl(ExecMode::kTraceCache);
+  PlanlessTraces planless;
+  rl.acc.trace_cache().set_source(&planless);
+  for (Rig* r : {&ri, &rt, &rl}) {
+    r->seed(Rng(0x3A9));
+    if (!match_entry) continue;
+    for (const MapBodyLine& l : body) {
+      if (l.load_srf < 0) continue;
+      r->acc.column(0).srf().poke(static_cast<unsigned>(l.load_srf),
+                                  r->acc.spm().peek(l.load_word));
+    }
+  }
+  const isa::KernelImage img = make_kernel("map", 0, prog);
+  const Cycle ci = ri.acc.run_kernel(ri.acc.register_kernel(img));
+  const Cycle ct = rt.acc.run_kernel(rt.acc.register_kernel(img));
+  const Cycle cl = rl.acc.run_kernel(rl.acc.register_kernel(img));
+  ASSERT_EQ(ci, ct) << what;
+  ASSERT_EQ(ci, cl) << what;
+  ASSERT_EQ(rt.acc.interpreted_cycles(), 0u) << what << ": not replayed";
+  expect_identical(ri, rt, what);
+  for (unsigned row = 0; row < arch::kSpmRows; ++row) {
+    ASSERT_EQ(ri.acc.spm().row_version(row), rt.acc.spm().row_version(row))
+        << what << " SPM row stamp " << row;
+  }
+  const cgra::Column& ct0 = rt.acc.column(0);
+  const cgra::Column& cl0 = rl.acc.column(0);
+  EXPECT_EQ(ct0.spm_read_mask(), cl0.spm_read_mask()) << what;
+  EXPECT_EQ(ct0.spm_write_mask(), cl0.spm_write_mask()) << what;
+}
+
+/// Random bodies in the shapes the loop plans widen: per-line index
+/// offsets (rows read and written at one offset or at several), register
+/// accumulators (sole reader and writer, or read by another line too) and
+/// ride-along SRF loads whose entry value matches the loaded word or not,
+/// at trip counts 1, 31, 32 and 33 (33 never maps: more iterations than
+/// slice words). Every body must replay exactly like the interpreter,
+/// mapped or not; the counts show each shape was generated both ways.
+TEST(TraceCacheFused, RandomMapBodiesMatchInterpreter) {
+  using isa::RcDst;
+  using isa::RcOp;
+  using isa::RcSrc;
+  const RcSrc srcs[] = {RcSrc::kVwrA, RcSrc::kVwrB, RcSrc::kVwrC,
+                        RcSrc::kR0,   RcSrc::kR1,   RcSrc::kSrf,
+                        RcSrc::kImm,  RcSrc::kOne};
+  const RcDst dsts[] = {RcDst::kVwrA, RcDst::kVwrB, RcDst::kVwrC,
+                        RcDst::kR0,   RcDst::kR1,   RcDst::kNone};
+  Rng rng(0x10097);
+  std::map<std::string, unsigned> seen;
+  for (int trial = 0; trial < 600; ++trial) {
+    const unsigned len = 1 + rng.next_below(5);
+    std::vector<MapBodyLine> body(len);
+    int net = 0;
+    for (MapBodyLine& l : body) {
+      const RcOp op = static_cast<RcOp>(
+          1 + rng.next_below(static_cast<unsigned>(RcOp::kCount) - 1));
+      l.rc = rc_op(op, dsts[rng.next_below(6)], srcs[rng.next_below(8)],
+                   srcs[rng.next_below(8)],
+                   static_cast<std::uint8_t>(rng.next_below(2)),
+                   static_cast<std::int8_t>(rng.next_u32()));
+      l.step = static_cast<int>(rng.next_below(4)) - 1;  // -1..2
+      net += l.step;
+      if (rng.next_below(3) == 0) {
+        // The load holds the SRF port: its line reads no SRF entry.
+        l.load_srf = static_cast<int>(rng.next_below(2));
+        l.load_word = rng.next_below(arch::kSpmWords);
+        if (l.rc.src_a == RcSrc::kSrf) l.rc.src_a = RcSrc::kVwrA;
+        if (l.rc.src_b == RcSrc::kSrf) l.rc.src_b = RcSrc::kVwrB;
+      }
+    }
+    if (len >= 2 && rng.next_below(3) == 0) {
+      // The FIR rotation: the first line reads an entry the last reloads.
+      const int e = static_cast<int>(rng.next_below(2));
+      body.front().rc.src_b = RcSrc::kSrf;
+      body.front().rc.srf = static_cast<std::uint8_t>(e);
+      body.front().load_srf = -1;
+      MapBodyLine& last = body.back();
+      last.load_srf = e;
+      last.load_word = rng.next_below(arch::kSpmWords);
+      if (last.rc.src_a == RcSrc::kSrf) last.rc.src_a = RcSrc::kVwrA;
+      if (last.rc.src_b == RcSrc::kSrf) last.rc.src_b = RcSrc::kVwrB;
+    }
+    if (rng.next_below(3) != 0) {
+      // An accumulator line R = R + x (or x + R).
+      MapBodyLine& l = body[rng.next_below(len)];
+      const RcDst r = rng.next_below(2) ? RcDst::kR0 : RcDst::kR1;
+      const RcSrc rs = r == RcDst::kR0 ? RcSrc::kR0 : RcSrc::kR1;
+      RcSrc x = srcs[rng.next_below(8)];
+      if (x == rs || (l.load_srf >= 0 && x == RcSrc::kSrf)) x = RcSrc::kVwrB;
+      l.rc = rng.next_below(2) ? rc_add(r, rs, x, l.rc.srf, l.rc.imm)
+                               : rc_add(r, x, rs, l.rc.srf, l.rc.imm);
+    }
+    // Mostly a net walk of +-1 (the mappable one), sometimes not.
+    if (rng.next_below(6) != 0) {
+      body.back().step += (rng.next_below(2) ? 1 : -1) - net;
+    }
+    const unsigned trips = std::array<unsigned, 4>{1, 31, 32, 33}[trial % 4];
+    const unsigned start = rng.next_below(arch::kSliceWords);
+    const bool match_entry = rng.next_below(2) == 0;
+    const isa::ColumnProgram prog = map_loop_program(body, trips, start);
+    const auto trace = cgra::compile_trace(prog);
+    if (!trace->ok) continue;  // e.g. a port hazard the generator built
+    const cgra::tc::LoopPlan& plan = body_plan(trace);
+    const bool mapped = !plan.lines.empty();
+    const std::string how = mapped && trips <= arch::kSliceWords ? "mapped"
+                                                                 : "lines";
+    bool offsets = false, fold = false;
+    for (const cgra::tc::MapLine& m : plan.lines) {
+      offsets = offsets || m.off != plan.lines.front().off;
+      fold = fold || m.d.k == cgra::tc::MapRef::K::kReg;
+    }
+    ++seen[how];
+    if (offsets) ++seen[how + " with offsets"];
+    if (fold) ++seen[how + " with a fold"];
+    if (!plan.loads.empty()) ++seen[how + " with loads"];
+    if (plan.entry_srf != 0) {
+      ++seen[how + (match_entry ? " entry matching" : " entry differing")];
+    }
+    expect_map_identical(prog, body, match_entry,
+                         "trial " + std::to_string(trial) + " trips " +
+                             std::to_string(trips) + " start " +
+                             std::to_string(start) + " " + how);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  for (const char* key :
+       {"mapped", "lines", "mapped with offsets", "mapped with a fold",
+        "mapped with loads", "mapped entry matching",
+        "mapped entry differing"}) {
+    EXPECT_GE(seen[key], 5u) << key;
+  }
+}
+
+/// The map rules by name: each body is checked against the interpreter,
+/// and its plan (or its absence) is pinned.
+TEST(TraceCacheFused, MapRulesHoldAndRefuseByShape) {
+  using isa::RcDst;
+  using isa::RcOp;
+  using isa::RcSrc;
+  struct Case {
+    const char* name;
+    std::vector<MapBodyLine> body;
+    bool maps;
+  };
+  const std::vector<Case> cases = {
+      {"per-line offsets (FIR shape)",
+       {{rc_fxpmul(RcDst::kR1, RcSrc::kVwrA, RcSrc::kSrf, 1), -1},
+        {rc_fxpmul(RcDst::kR0, RcSrc::kVwrA, RcSrc::kSrf, 2), 0},
+        {rc_add(RcDst::kR1, RcSrc::kR1, RcSrc::kR0), -1},
+        {rc_add(RcDst::kVwrC, RcSrc::kR1, RcSrc::kVwrA), 3}},
+       true},
+      {"row written at one offset, read at another",
+       {{rc_add(RcDst::kVwrC, RcSrc::kVwrA, RcSrc::kVwrB), 1},
+        {rc_sub(RcDst::kVwrB, RcSrc::kVwrC, RcSrc::kVwrA), 0}},
+       false},
+      {"row written at two offsets",
+       {{rc_add(RcDst::kVwrC, RcSrc::kVwrA, RcSrc::kVwrB), 2},
+        {rc_mv(RcDst::kVwrC, RcSrc::kVwrA), -1}},
+       false},
+      {"sum of squares accumulator",
+       {{rc_fxpmul(RcDst::kR0, RcSrc::kVwrA, RcSrc::kVwrA), 0},
+        {rc_add(RcDst::kR1, RcSrc::kR0, RcSrc::kR1), 1}},
+       true},
+      {"accumulator another line reads",
+       {{rc_fxpmul(RcDst::kR0, RcSrc::kVwrA, RcSrc::kVwrA), 0},
+        {rc_add(RcDst::kR1, RcSrc::kR1, RcSrc::kR0), 0},
+        {rc_add(RcDst::kVwrC, RcSrc::kR1, RcSrc::kVwrB), 1}},
+       false},
+      {"accumulator with a second writer",
+       {{rc_add(RcDst::kR1, RcSrc::kR1, RcSrc::kVwrB), 0},
+        {rc_mv(RcDst::kR1, RcSrc::kVwrA), 1}},
+       false},
+      {"register written before it is read (a temporary)",
+       {{rc_mv(RcDst::kR1, RcSrc::kVwrA), 0},
+        {rc_add(RcDst::kR1, RcSrc::kR1, RcSrc::kVwrB), 0},
+        {rc_sub(RcDst::kVwrB, RcSrc::kR1, RcSrc::kVwrB), -1}},
+       true},
+      {"carried register that is not a sum",
+       {{rc_op(RcOp::kMax, RcDst::kR1, RcSrc::kR1, RcSrc::kVwrA), 1}},
+       false},
+      {"ride-along loads (FIR rotation)",
+       {{rc_fxpmul(RcDst::kR0, RcSrc::kVwrA, RcSrc::kSrf, 1), 0},
+        {rc_add(RcDst::kVwrC, RcSrc::kR0, RcSrc::kVwrB), 0, 1, 300},
+        {rc_fxpmul(RcDst::kR0, RcSrc::kVwrC, RcSrc::kSrf, 1), 0},
+        {rc_add(RcDst::kVwrC, RcSrc::kR0, RcSrc::kVwrC), 1, 1, 77}},
+       true},
+  };
+  for (const Case& c : cases) {
+    for (unsigned trips : {1u, 31u, 32u, 33u}) {
+      for (bool match : {false, true}) {
+        const unsigned start = (trips * 7) % arch::kSliceWords;
+        const isa::ColumnProgram prog = map_loop_program(c.body, trips, start);
+        const auto trace = cgra::compile_trace(prog);
+        EXPECT_EQ(!body_plan(trace).lines.empty(), c.maps) << c.name;
+        expect_map_identical(prog, c.body, match,
+                             std::string(c.name) + " trips " +
+                                 std::to_string(trips) +
+                                 (match ? " entry matching" : ""));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
 /// Two columns that communicate through the SPM at *statically* known rows:
 /// column 0 stores row 40 (immediate address), column 1 loads it a few
 /// cycles later. The block dependence analysis sees the overlap at compile
@@ -1045,6 +1319,65 @@ TEST(TraceCache, CompiledBlocksLookRight) {
     }
     EXPECT_TRUE(has_fetch);
   }
+}
+
+/// Every hardware loop of the runtime job catalog replays through a loop
+/// plan: compile each kernel the catalog registers, for every job family
+/// and each of the four fleet variants, and require a map plan on every
+/// fused self-loop block that does RC work. A kernel edit that puts a loop back on the
+/// line-by-line path fails here by kernel and block.
+TEST(TraceCache, EveryCatalogLoopHasAMapPlan) {
+  std::vector<soc::ArchConfig> fleet(4);
+  fleet[1].vwr_count = 2;
+  fleet[2].vwr_count = 4;
+  fleet[3].simd_width = 16;
+  isa::ImageCache cache;
+  artifact::populate_catalog(cache, fleet);
+
+  std::map<std::string, const isa::KernelImage*> images;
+  std::vector<std::shared_ptr<const isa::KernelImage>> keep;
+  cache.for_each_image(
+      [&](const std::string& key,
+          const std::shared_ptr<const isa::KernelImage>& image) {
+        images[key] = image.get();
+        keep.push_back(image);
+      });
+  auto kernel_of = [&](const isa::ColumnProgram& prog) {
+    for (const auto& [key, image] : images) {
+      for (const isa::ColumnProgram& p : image->program) {
+        if (p == prog) return key;
+      }
+    }
+    return std::string("<unregistered>");
+  };
+  std::set<std::string> families;
+  unsigned traces = 0, loops = 0;
+  cache.traces().for_each_trace(
+      [&](const std::string& variant, const isa::ColumnProgram& prog,
+          const std::shared_ptr<const cgra::CompiledTrace>& trace) {
+        ASSERT_TRUE(trace->ok) << kernel_of(prog) << ": " << trace->bail_reason;
+        ++traces;
+        families.insert(variant);
+        for (std::size_t bi = 0; bi < trace->blocks.size(); ++bi) {
+          const cgra::tc::Block& b = trace->blocks[bi];
+          if (!b.fuse_self_loop) continue;
+          // A body without RC work (zero_rows' store-and-advance row loop)
+          // has no lanes to map: it replays line by line on any engine.
+          bool lanes = false;
+          for (unsigned i = b.first; i < b.first + b.len; ++i) {
+            lanes = lanes || trace->lines[i].rc_mask != 0;
+          }
+          if (!lanes) continue;
+          ++loops;
+          EXPECT_FALSE(b.plan.lines.empty())
+              << "kernel " << kernel_of(prog) << " (" << variant
+              << ") block " << bi << " at line " << b.first
+              << ": fused loop has no map plan";
+        }
+      });
+  EXPECT_EQ(families.size(), 4u);  // one trace namespace per variant
+  EXPECT_GT(traces, 100u) << traces;
+  EXPECT_GT(loops, 100u) << loops;
 }
 
 TEST(TraceCache, ExecModeIsCostModelTransparent) {
