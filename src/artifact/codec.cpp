@@ -357,7 +357,7 @@ bool parse_trace(Reader& r, cgra::CompiledTrace& out) {
   if (out.ok && (nlines == 0 || nblocks == 0)) return false;
   // The static dependence facts are not stored: they are derived from the
   // lines and blocks just parsed, by the same function compile_trace uses.
-  cgra::derive_dependence_facts(out);
+  cgra::derive_trace_facts(out);
   return true;
 }
 

@@ -37,10 +37,10 @@ bool parse_image(Reader& r, isa::KernelImage& out);
 
 /// CompiledTrace: u8 ok, string bail_reason, lines, blocks, block_of.
 /// Negative results (ok = false) are stored too, so the warm path skips
-/// even the failed compile attempts. The static dependence facts (block
-/// sread/swrite, static_reads/static_writes, has_cross) are not stored:
-/// parse_trace derives them with cgra::derive_dependence_facts, so a
-/// parsed trace equals the compile_trace result it was encoded from.
+/// even the failed compile attempts. The derived facts (block
+/// sread/swrite and loop plans, static_reads/static_writes, has_cross) are
+/// not stored: parse_trace derives them with cgra::derive_trace_facts, so
+/// a parsed trace equals the compile_trace result it was encoded from.
 void encode_trace(const cgra::CompiledTrace& trace, std::vector<std::uint8_t>& out);
 bool parse_trace(Reader& r, cgra::CompiledTrace& out);
 

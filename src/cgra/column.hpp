@@ -193,6 +193,11 @@ class Column {
   /// configuration loads, which the top level accounts).
   Cycle executed_cycles() const { return executed_; }
 
+  /// Entries of a fused loop that has a loop plan but replayed line by line
+  /// because its trip count exceeded kSliceWords, since construction. Every
+  /// kernel loop walks one slice, so this stays 0 on the job catalog.
+  std::uint64_t long_loop_runs() const { return long_loop_runs_; }
+
   /// Disassembles the VLIW line at program address `pc` (tracing/debugging).
   std::string line_asm(unsigned pc) const;
 
@@ -267,6 +272,7 @@ class Column {
   /// Executions of each trace block since begin_traced(), folded into the
   /// meter by end_traced().
   std::vector<std::uint64_t> block_runs_;
+  std::uint64_t long_loop_runs_ = 0;
 };
 
 } // namespace vwr2a::cgra

@@ -491,6 +491,7 @@ void Column::run_fused_loop(const tc::Block& b, std::uint64_t iters) {
     for (unsigned i = 0; i < b.len; ++i) exec_dispatch(lines[i]);
   };
   if (plan.lines.empty() || iters > arch::kSliceWords) {
+    if (!plan.lines.empty()) ++long_loop_runs_;
     for (std::uint64_t it = 0; it < iters; ++it) replay_iteration();
     return;
   }

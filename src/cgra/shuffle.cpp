@@ -44,64 +44,23 @@ unsigned shuffle_source_index(isa::ShufMode mode, unsigned i) {
 
 namespace {
 
-/// The outputs one source row feeds, as a strided run:
-/// out[out0 + k * out_step] = row[src0 + k * src_step] for k < count.
-struct Run {
-  unsigned out0 = 0, out_step = 1, src0 = 0, src_step = 1, count = 0;
-};
+/// shuffle_source_index() precomputed for every mode: [mode][i] = source
+/// index into the A:B concatenation.
+using ShuffleMap = std::array<std::array<std::uint16_t, kN>,
+                              static_cast<unsigned>(isa::ShufMode::kCount)>;
 
-/// One mode's permutation, derived from shuffle_source_index(). When the
-/// outputs of each row form one run with strides of 1 or 2 (interleave,
-/// prune, circular shift) the mode copies two runs; otherwise (bit
-/// reversal) it gathers through the index map.
-struct ModePlan {
-  bool runs = true;
-  std::array<Run, 2> run{};             ///< [0] from A, [1] from B
-  std::array<std::uint16_t, kN> map{};  ///< index into A:B
-};
-
-ModePlan plan_mode(isa::ShufMode mode) {
-  ModePlan p;
-  for (unsigned i = 0; i < kN; ++i) {
-    const unsigned m = shuffle_source_index(mode, i);
-    p.map[i] = static_cast<std::uint16_t>(m);
-    Run& r = p.run[m / kN];
-    const unsigned src = m % kN;
-    if (r.count == 0) {
-      r.out0 = i;
-      r.src0 = src;
-    } else if (r.count == 1) {
-      r.out_step = i - r.out0;
-      r.src_step = src - r.src0;  // wraps when the source walks down
-    } else if (i != r.out0 + r.count * r.out_step ||
-               src != r.src0 + r.count * r.src_step) {
-      p.runs = false;
-    }
-    ++r.count;
-  }
-  for (const Run& r : p.run) {
-    if (r.out_step - 1 > 1 || r.src_step - 1 > 1) p.runs = false;  // not 1, 2
-  }
-  return p;
-}
-
-using ShufflePlans =
-    std::array<ModePlan, static_cast<unsigned>(isa::ShufMode::kCount)>;
-
-const ShufflePlans& shuffle_plans() {
-  static const ShufflePlans plans = [] {
-    ShufflePlans m{};
+const ShuffleMap& shuffle_map() {
+  static const ShuffleMap map = [] {
+    ShuffleMap m{};
     for (unsigned mode = 0; mode < m.size(); ++mode) {
-      m[mode] = plan_mode(static_cast<isa::ShufMode>(mode));
+      for (unsigned i = 0; i < kN; ++i) {
+        m[mode][i] = static_cast<std::uint16_t>(
+            shuffle_source_index(static_cast<isa::ShufMode>(mode), i));
+      }
     }
     return m;
   }();
-  return plans;
-}
-
-template <unsigned kOut, unsigned kSrc>
-void copy_run(const Word* src, Word* out, unsigned n) {
-  for (unsigned k = 0; k < n; ++k) out[k * kOut] = src[k * kSrc];
+  return map;
 }
 
 } // namespace
@@ -109,26 +68,12 @@ void copy_run(const Word* src, Word* out, unsigned n) {
 void shuffle_eval(isa::ShufMode mode, const VwrRow& a, const VwrRow& b,
                   VwrRow& out) {
   if (mode >= isa::ShufMode::kCount) throw DecodeError("shuffle: bad mode");
-  const ModePlan& p = shuffle_plans()[static_cast<unsigned>(mode)];
+  const auto& map = shuffle_map()[static_cast<unsigned>(mode)];
   // Gather straight from the two rows, never from a copy of A:B.
   const Word* const rows[2] = {a.data(), b.data()};
-  if (!p.runs) {
-    for (unsigned i = 0; i < kN; ++i) {
-      const unsigned m = p.map[i];
-      out[i] = rows[m / kN][m % kN];
-    }
-    return;
-  }
-  for (unsigned row = 0; row < 2; ++row) {
-    const Run& r = p.run[row];
-    const Word* src = rows[row] + r.src0;
-    Word* dst = out.data() + r.out0;
-    switch ((r.out_step - 1) * 2 + (r.src_step - 1)) {
-      case 0: copy_run<1, 1>(src, dst, r.count); break;
-      case 1: copy_run<1, 2>(src, dst, r.count); break;
-      case 2: copy_run<2, 1>(src, dst, r.count); break;
-      default: copy_run<2, 2>(src, dst, r.count); break;
-    }
+  for (unsigned i = 0; i < kN; ++i) {
+    const unsigned m = map[i];
+    out[i] = rows[m / kN][m % kN];
   }
 }
 

@@ -69,16 +69,6 @@ void map_run(const Word* pa, const Word* pb, Word* pd, unsigned n) {
 template <typename Alu, bool kRowA, bool kRowB>
 void lane_map(const tc::SrcLanes& a, const tc::SrcLanes& b,
               const tc::DstLanes& d, unsigned n) {
-  constexpr unsigned S = arch::kSliceWords;
-  auto uniform = [](const tc::SrcLanes& x) {
-    return x[0] == x[1] && x[0] == x[2] && x[0] == x[3];
-  };
-  // A whole slice per lane: the lanes of a row or temporary are one
-  // contiguous row, so with lane-uniform broadcasts it is one run.
-  if (n == S && (kRowA || uniform(a)) && (kRowB || uniform(b))) {
-    map_run<Alu, kRowA, kRowB>(a[0], b[0], d[0], arch::kVwrWords);
-    return;
-  }
   for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
     map_run<Alu, kRowA, kRowB>(a[r], b[r], d[r], n);
   }
@@ -269,7 +259,7 @@ tc::LoopPlan plan_loop(const CompiledTrace& trace, const tc::Block& b) {
 
 } // namespace
 
-void derive_dependence_facts(CompiledTrace& trace) {
+void derive_trace_facts(CompiledTrace& trace) {
   trace.static_reads = 0;
   trace.static_writes = 0;
   trace.has_cross = false;
@@ -394,7 +384,7 @@ std::shared_ptr<const CompiledTrace> compile_trace(const DecodedProgram& dec) {
     pc = end + 1;
   }
 
-  derive_dependence_facts(*trace);
+  derive_trace_facts(*trace);
   trace->ok = true;
   return trace;
 }

@@ -114,7 +114,7 @@ struct MapLoad {
 };
 
 /// The vectorized form of a fused self-loop, compiled once per trace by
-/// derive_dependence_facts(). Replay runs each body line over all
+/// derive_trace_facts(). Replay runs each body line over all
 /// iterations before the next line starts; the rules that make this exact
 /// are in docs/tracecache.md ("Fused hardware loops"). Empty `lines`: the
 /// body does not map and replays line by line.
@@ -171,7 +171,7 @@ class CompiledTrace {
   /// Whole-trace unions of the per-block static SPM row masks, and whether
   /// any kRcCross operand survives into the micro-ops (such a trace replays
   /// only on the per-cycle lockstep tier, which has partner snapshots).
-  /// Derived facts: see derive_dependence_facts().
+  /// Derived facts: see derive_trace_facts().
   std::uint64_t static_reads = 0;
   std::uint64_t static_writes = 0;
   bool has_cross = false;
@@ -189,7 +189,7 @@ class CompiledTrace {
 /// trace, so a hydrated trace plans the same replay tiers and loop maps as
 /// a compiled one. Blocks must lie inside `lines` (both producers
 /// guarantee it).
-void derive_dependence_facts(CompiledTrace& trace);
+void derive_trace_facts(CompiledTrace& trace);
 
 /// Compiles one column program from its line analysis. Never throws on
 /// untraceable input: the result carries ok = false and the interpreter

@@ -24,6 +24,7 @@
 #include "isa/image_cache.hpp"
 #include "energy/meter.hpp"
 #include "mem/sram.hpp"
+#include "runtime/device.hpp"
 #include "soc/platform.hpp"
 
 namespace vwr2a {
@@ -1331,8 +1332,21 @@ TEST(TraceCache, EveryCatalogLoopHasAMapPlan) {
   fleet[1].vwr_count = 2;
   fleet[2].vwr_count = 4;
   fleet[3].simd_width = 16;
+  // populate_catalog's sweep, on devices kept for their column counters.
   isa::ImageCache cache;
-  artifact::populate_catalog(cache, fleet);
+  const std::vector<runtime::Job> jobs = artifact::catalog_jobs();
+  for (soc::ArchConfig variant : fleet) {
+    variant.exec_mode = cgra::ExecMode::kTraceCache;
+    runtime::Device device(0, cache, variant);
+    std::uint64_t seq = 0;
+    for (const runtime::Job& job : jobs) device.run(job, seq++);
+    // No catalog loop runs more trips than a slice has words, so no
+    // planned loop falls back to line-by-line replay at run time.
+    for (unsigned c = 0; c < arch::kNumColumns; ++c) {
+      EXPECT_EQ(device.platform().vwr2a().column(c).long_loop_runs(), 0u)
+          << variant.name() << " column " << c;
+    }
+  }
 
   std::map<std::string, const isa::KernelImage*> images;
   std::vector<std::shared_ptr<const isa::KernelImage>> keep;
