@@ -1,5 +1,6 @@
 #include "cgra/shuffle.hpp"
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/bits.hpp"
@@ -69,12 +70,11 @@ void shuffle_eval(isa::ShufMode mode, const VwrRow& a, const VwrRow& b,
                   VwrRow& out) {
   if (mode >= isa::ShufMode::kCount) throw DecodeError("shuffle: bad mode");
   const auto& map = shuffle_map()[static_cast<unsigned>(mode)];
-  // Gather straight from the two rows, never from a copy of A:B.
-  const Word* const rows[2] = {a.data(), b.data()};
-  for (unsigned i = 0; i < kN; ++i) {
-    const unsigned m = map[i];
-    out[i] = rows[m / kN][m % kN];
-  }
+  // Gather from A:B laid out as one array: the map indexes it directly.
+  std::array<Word, kConcat> ab;
+  std::copy_n(a.begin(), kN, ab.begin());
+  std::copy_n(b.begin(), kN, ab.begin() + kN);
+  for (unsigned i = 0; i < kN; ++i) out[i] = ab[map[i]];
 }
 
 VwrRow shuffle_eval(isa::ShufMode mode, const VwrRow& a, const VwrRow& b) {
