@@ -3,8 +3,8 @@
 // gateway for STATS_PUSH frames every 200 ms (no polling -- the server
 // initiates every frame) while 8 producer threads stream biosignals
 // through their own connections. Each push repaints:
-//   * the fleet scalar lines (jobs, makespan, energy, faults, and the
-//     replay tier mix: traced launches, rollbacks + per-tier cycles);
+//   * every STATS entry the server sends (jobs, makespan, energy, caches,
+//     faults, the replay tier mix), printed by name;
 //   * per-device occupancy bars (device-local cycles relative to the
 //     busiest device), job counts and the health bitmap;
 //   * per-session window rates computed from consecutive pushes, plus the
@@ -115,27 +115,21 @@ int main() {
             : 0.0;
 
     std::printf("\x1b[2J\x1b[H");  // clear + home (harmless when piped)
-    std::printf("fleet_top -- push %llu, cadence %u ms, %u devices\n",
+    std::printf("fleet_top -- push %llu, cadence %u ms, %zu devices\n",
                 static_cast<unsigned long long>(p.seq), kCadenceMs,
-                p.stats.devices);
-    std::printf("jobs %llu done / %llu failed | makespan %llu cy | "
-                "%.1f uJ | faults %llu (dead %llu, rescued %llu)\n",
-                static_cast<unsigned long long>(p.stats.jobs_completed),
-                static_cast<unsigned long long>(p.stats.jobs_failed),
-                static_cast<unsigned long long>(p.stats.fleet_makespan),
-                p.stats.total_pj * 1e-6,
-                static_cast<unsigned long long>(p.stats.devices_failed),
-                static_cast<unsigned long long>(p.stats.devices_dead),
-                static_cast<unsigned long long>(p.stats.jobs_rescued));
-    std::printf("replay %llu traced (%llu rollbacks) | "
-                "cy dec %llu / lock %llu / interp %llu | sync %llu\n\n",
-                static_cast<unsigned long long>(p.stats.traced_launches),
-                static_cast<unsigned long long>(p.stats.traced_rollbacks),
-                static_cast<unsigned long long>(p.stats.replay_decoupled_cycles),
-                static_cast<unsigned long long>(p.stats.replay_lockstep_cycles),
-                static_cast<unsigned long long>(
-                    p.stats.replay_interpreted_cycles),
-                static_cast<unsigned long long>(p.stats.replay_sync_points));
+                p.devices.size());
+    // Every STATS entry, two to a line, whatever the server sends.
+    std::size_t col = 0;
+    for (const gateway::StatEntry& e : p.stats.entries) {
+      if (e.kind == MetricKind::kReal) {
+        std::printf("  %-26s %14.1f", e.name.c_str(), e.real());
+      } else {
+        std::printf("  %-26s %14llu", e.name.c_str(),
+                    static_cast<unsigned long long>(e.value));
+      }
+      if (++col % 2 == 0) std::printf("\n");
+    }
+    std::printf(col % 2 == 0 ? "\n" : "\n\n");
 
     std::uint64_t busiest = 1;
     for (const auto& d : p.devices) busiest = std::max(busiest, d.cycles);
@@ -201,8 +195,10 @@ int main() {
   std::printf("\nrendered %u pushed frames; final: %llu windows delivered, "
               "%llu sessions served\n",
               frames,
-              static_cast<unsigned long long>(final_stats.windows_delivered),
-              static_cast<unsigned long long>(final_stats.sessions));
+              static_cast<unsigned long long>(
+                  final_stats.at("windows_delivered").value),
+              static_cast<unsigned long long>(
+                  final_stats.at("sessions").value));
   server.stop();
   return frames >= kFrames ? 0 : 1;
 }

@@ -77,13 +77,16 @@ int main() {
                 static_cast<unsigned long long>(fo.windows_delivered));
   }
 
-  const gateway::Stats stats = clients[0]->stats();
-  std::printf("\nfleet: %u devices, %llu jobs, makespan %llu cycles, "
-              "%.1f uJ\n",
-              stats.devices,
-              static_cast<unsigned long long>(stats.jobs_completed),
-              static_cast<unsigned long long>(stats.fleet_makespan),
-              stats.total_pj * 1e-6);
+  // STATS is a list of named entries: print whatever the server sends.
+  std::printf("\nfleet STATS:\n");
+  for (const gateway::StatEntry& e : clients[0]->stats().entries) {
+    if (e.kind == MetricKind::kReal) {
+      std::printf("  %-26s %.1f\n", e.name.c_str(), e.real());
+    } else {
+      std::printf("  %-26s %llu\n", e.name.c_str(),
+                  static_cast<unsigned long long>(e.value));
+    }
+  }
 
   for (unsigned p = 0; p < kPatients; ++p) {
     const gateway::CloseOk co = clients[p]->close_stream(sids[p]);

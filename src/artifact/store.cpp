@@ -10,7 +10,6 @@
 
 #include "artifact/codec.hpp"
 #include "artifact/format.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace vwr2a::artifact {
@@ -193,11 +192,6 @@ std::shared_ptr<const isa::KernelImage> Store::load_image(
   }
   images_served_.fetch_add(1, std::memory_order_relaxed);
   obs::instant("artifact.image", 0, it->second.len);
-  if (obs::metrics_enabled()) {
-    static obs::Counter& m =
-        obs::Registry::get().counter("artifact.images_hydrated");
-    m.add(1);
-  }
   return image;
 }
 
@@ -222,11 +216,6 @@ std::shared_ptr<const cgra::CompiledTrace> Store::load_trace(
   }
   traces_served_.fetch_add(1, std::memory_order_relaxed);
   obs::instant("artifact.trace", 0, it->second.len);
-  if (obs::metrics_enabled()) {
-    static obs::Counter& m =
-        obs::Registry::get().counter("artifact.traces_hydrated");
-    m.add(1);
-  }
   return trace;
 }
 

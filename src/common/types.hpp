@@ -19,6 +19,11 @@ using SWord = std::int32_t;
 /// Cycle counter type. 64 bits: applications run for millions of cycles.
 using Cycle = std::uint64_t;
 
+/// How a named scalar statistic reads: a monotonic count, a point-in-time
+/// level, or a real number. The value is the kind byte of a gateway STATS
+/// entry (docs/protocol.md).
+enum class MetricKind : std::uint8_t { kCounter = 0, kGauge = 1, kReal = 2 };
+
 namespace arch {
 
 /// Bits per datapath word.

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <stdexcept>
 
 namespace vwr2a::gateway {
 
@@ -118,62 +119,39 @@ class Reader {
   std::size_t off_ = 0;
 };
 
-// The STATS field block appears in two frames (STATS and STATS_PUSH);
-// one reader/writer pair keeps them from drifting.
+// The STATS entry list appears in two frames (STATS and STATS_PUSH); one
+// reader/writer pair keeps them from drifting.
 Stats read_stats(Reader& r) {
+  const std::uint32_t count = r.u32();
+  // An entry is at least 13 bytes (empty name: u32 length + u8 kind + u64
+  // value), so the count is checked against the actual remaining bytes
+  // before any allocation.
+  if (r.remaining() / 13 < count) {
+    throw ProtocolError("gateway: stats entry list overruns its frame");
+  }
   Stats f;
-  f.devices = r.u32();
-  f.sessions = r.u64();
-  f.connections = r.u64();
-  f.windows_delivered = r.u64();
-  f.jobs_completed = r.u64();
-  f.jobs_failed = r.u64();
-  f.fleet_makespan = r.u64();
-  f.total_device_cycles = r.u64();
-  f.stagings = r.u64();
-  f.total_pj = r.f64();
-  f.images_hydrated = r.u64();
-  f.traces_hydrated = r.u64();
-  f.artifact_attached = r.u8();
-  f.devices_failed = r.u64();
-  f.devices_revived = r.u64();
-  f.devices_dead = r.u64();
-  f.jobs_rescued = r.u64();
-  f.checkpoints_restored = r.u64();
-  f.traced_launches = r.u64();
-  f.traced_rollbacks = r.u64();
-  f.replay_decoupled_cycles = r.u64();
-  f.replay_lockstep_cycles = r.u64();
-  f.replay_interpreted_cycles = r.u64();
-  f.replay_sync_points = r.u64();
+  f.entries.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    StatEntry e;
+    e.name = r.string();
+    const std::uint8_t kind = r.u8();
+    if (kind > static_cast<std::uint8_t>(MetricKind::kReal)) {
+      throw ProtocolError("gateway: unknown stats entry kind");
+    }
+    e.kind = static_cast<MetricKind>(kind);
+    e.value = r.u64();
+    f.entries.push_back(std::move(e));
+  }
   return f;
 }
 
 void put_stats(std::vector<std::uint8_t>& out, const Stats& v) {
-  put_u32(out, v.devices);
-  put_u64(out, v.sessions);
-  put_u64(out, v.connections);
-  put_u64(out, v.windows_delivered);
-  put_u64(out, v.jobs_completed);
-  put_u64(out, v.jobs_failed);
-  put_u64(out, v.fleet_makespan);
-  put_u64(out, v.total_device_cycles);
-  put_u64(out, v.stagings);
-  put_f64(out, v.total_pj);
-  put_u64(out, v.images_hydrated);
-  put_u64(out, v.traces_hydrated);
-  put_u8(out, v.artifact_attached);
-  put_u64(out, v.devices_failed);
-  put_u64(out, v.devices_revived);
-  put_u64(out, v.devices_dead);
-  put_u64(out, v.jobs_rescued);
-  put_u64(out, v.checkpoints_restored);
-  put_u64(out, v.traced_launches);
-  put_u64(out, v.traced_rollbacks);
-  put_u64(out, v.replay_decoupled_cycles);
-  put_u64(out, v.replay_lockstep_cycles);
-  put_u64(out, v.replay_interpreted_cycles);
-  put_u64(out, v.replay_sync_points);
+  put_u32(out, static_cast<std::uint32_t>(v.entries.size()));
+  for (const StatEntry& e : v.entries) {
+    put_string(out, e.name);
+    put_u8(out, static_cast<std::uint8_t>(e.kind));
+    put_u64(out, e.value);
+  }
 }
 
 Frame decode_payload(FrameType type, Reader& r) {
@@ -383,6 +361,16 @@ void encode_payload(const Frame& f, std::vector<std::uint8_t>& out) {
 }
 
 } // namespace
+
+double StatEntry::real() const { return std::bit_cast<double>(value); }
+
+const StatEntry& Stats::at(std::string_view name) const {
+  for (const StatEntry& e : entries) {
+    if (e.name == name) return e;
+  }
+  throw std::out_of_range("gateway: no stats entry named " +
+                          std::string(name));
+}
 
 FrameType frame_type(const Frame& f) {
   switch (f.index()) {

@@ -18,35 +18,20 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
 #include "common/status.hpp"
+#include "common/types.hpp"
 
 namespace vwr2a::gateway {
 
-/// The versioning byte every frame carries (bumped on breaking changes).
-/// v2: STATS gained the artifact-hydration fields (images_hydrated,
-/// traces_hydrated, artifact_attached).
-/// v3: STATS gained the fault-and-recovery fields (devices_failed,
-/// devices_revived, devices_dead, jobs_rescued, checkpoints_restored) --
-/// the DEVICE_LOST/RECOVERED picture a tenant polls for.
-/// v4: push-mode stats -- STATS_SUBSCRIBE (client -> server: cadence +
-/// enable) and STATS_PUSH (server-initiated: seq + the full STATS picture
-/// + per-device and per-session load arrays), the router-tier feed that
-/// replaces polling.
-/// v5: STATS gained the replay-engine fields (traced_launches,
-/// traced_rollbacks, two fleet-batch counters, and the per-tier
-/// replayed-cycle / sync-point counters) -- which execution tier the
-/// fleet's accelerator work actually ran on.
-/// v6: WINDOW_RESULT gained the server-side span breakdown (queue_ns,
-/// run_ns, deliver_ns host wall-clock; place_cycles, sim_begin simulated)
-/// -- the cross-wire trace propagation a remote client feeds into its
-/// local flight recorder. All five are 0 unless the server runs with
-/// obs spans enabled.
-/// v7: STATS lost the two fleet-batch counters (fleet-batched replay was
-/// removed); nothing else changed.
-inline constexpr std::uint8_t kProtocolVersion = 7;
+/// The versioning byte every frame carries (bumped on breaking changes;
+/// docs/protocol.md keeps the version history). v8: STATS and STATS_PUSH
+/// carry a self-describing list of named entries, so adding a metric no
+/// longer changes the layout.
+inline constexpr std::uint8_t kProtocolVersion = 8;
 /// Hard bound on one frame's payload; larger length prefixes are rejected
 /// before any allocation happens.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
@@ -112,21 +97,25 @@ struct OpenSession {
   std::uint32_t hop = 512;
   std::uint32_t max_inflight = 4;
   std::uint32_t buffer_capacity = 0;  ///< staging samples; 0 = 4 * window
+  bool operator==(const OpenSession&) const = default;
 };
 
 struct OpenOk {
   std::uint32_t stream = 0;
   std::uint64_t session = 0;  ///< server-side session id
   std::uint32_t device = 0;   ///< soft-pin device the session landed on
+  bool operator==(const OpenOk&) const = default;
 };
 
 struct PushSamples {
   std::uint32_t stream = 0;
   std::vector<std::int32_t> samples;  ///< 16.15 fixed point
+  bool operator==(const PushSamples&) const = default;
 };
 
 struct Flush {
   std::uint32_t stream = 0;
+  bool operator==(const Flush&) const = default;
 };
 
 /// Sent after every window of a FLUSH (full windows + zero-padded tail)
@@ -134,10 +123,12 @@ struct Flush {
 struct FlushOk {
   std::uint32_t stream = 0;
   std::uint64_t windows_delivered = 0;  ///< stream-lifetime total
+  bool operator==(const FlushOk&) const = default;
 };
 
 struct Close {
   std::uint32_t stream = 0;
+  bool operator==(const Close&) const = default;
 };
 
 /// Final per-stream accounting, sent after the stream's last window.
@@ -151,48 +142,33 @@ struct CloseOk {
   std::uint64_t dropped_pushes = 0;
   std::uint64_t latency_cycles_total = 0;
   std::uint64_t latency_cycles_max = 0;
+  bool operator==(const CloseOk&) const = default;
 };
 
-struct StatsRequest {};
+struct StatsRequest {
+  bool operator==(const StatsRequest&) const = default;
+};
+
+/// One named STATS value. For MetricKind::kReal, `value` holds the bit
+/// pattern of an f64; otherwise it is the count or level itself.
+struct StatEntry {
+  std::string name;
+  MetricKind kind = MetricKind::kCounter;
+  std::uint64_t value = 0;
+
+  double real() const;  ///< the f64 of a kReal entry
+  bool operator==(const StatEntry&) const = default;
+};
 
 /// Server + fleet telemetry (runtime::DevicePool::peek_stats picture: live,
-/// non-blocking, batch-boundary freshness).
+/// non-blocking, batch-boundary freshness). Each entry is one line of the
+/// server's stats table (gateway::for_each_stat).
 struct Stats {
-  std::uint32_t devices = 0;
-  std::uint64_t sessions = 0;           ///< sessions opened server-lifetime
-  std::uint64_t connections = 0;        ///< connections accepted
-  std::uint64_t windows_delivered = 0;  ///< WINDOW_RESULT frames sent
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t jobs_failed = 0;
-  std::uint64_t fleet_makespan = 0;       ///< max device-local clock, cycles
-  std::uint64_t total_device_cycles = 0;  ///< sum of device-local clocks
-  std::uint64_t stagings = 0;
-  double total_pj = 0.0;  ///< fleet energy
-  /// Artifact warm-start telemetry (v2): kernel images / compiled traces
-  /// hydrated from the fleet's prebuilt artifact, and whether one is
-  /// attached at all (0/1).
-  std::uint64_t images_hydrated = 0;
-  std::uint64_t traces_hydrated = 0;
-  std::uint8_t artifact_attached = 0;
-  /// Fault-and-recovery telemetry (v3): cumulative DEVICE_LOST/RECOVERED
-  /// counts, the current dead-device count, and how the fleet coped
-  /// (queued jobs re-placed, resident state adopted elsewhere).
-  std::uint64_t devices_failed = 0;
-  std::uint64_t devices_revived = 0;
-  std::uint64_t devices_dead = 0;
-  std::uint64_t jobs_rescued = 0;
-  std::uint64_t checkpoints_restored = 0;
-  /// Replay-engine telemetry (v5): launches replayed from compiled traces,
-  /// replays rolled back by cross-column SPM conflicts, plus per-tier
-  /// column-cycle counters -- decoupled free-run vs lockstep vs
-  /// interpreter -- and the sync-block count of scheduled replays. Work
-  /// pinned to the slow tiers is visible here.
-  std::uint64_t traced_launches = 0;
-  std::uint64_t traced_rollbacks = 0;
-  std::uint64_t replay_decoupled_cycles = 0;
-  std::uint64_t replay_lockstep_cycles = 0;
-  std::uint64_t replay_interpreted_cycles = 0;
-  std::uint64_t replay_sync_points = 0;
+  std::vector<StatEntry> entries;
+
+  /// The entry named `name`; throws std::out_of_range when absent.
+  const StatEntry& at(std::string_view name) const;
+  bool operator==(const Stats&) const = default;
 };
 
 struct WindowResult {
@@ -212,12 +188,14 @@ struct WindowResult {
   std::uint64_t deliver_ns = 0;    ///< run end -> WINDOW_RESULT enqueued
   std::uint64_t place_cycles = 0;  ///< estimated device backlog at placement
   std::uint64_t sim_begin = 0;     ///< device-local cycle when the run began
+  bool operator==(const WindowResult&) const = default;
 };
 
 struct Error {
   std::uint32_t stream = kConnectionStream;
   std::uint16_t code = 0;  ///< ErrorCode
   std::string message;
+  bool operator==(const Error&) const = default;
 };
 
 /// v4: starts (enable=1) or stops (enable=0) server-initiated STATS_PUSH
@@ -228,6 +206,7 @@ struct Error {
 struct StatsSubscribe {
   std::uint32_t cadence_ms = 0;
   std::uint8_t enable = 1;
+  bool operator==(const StatsSubscribe&) const = default;
 };
 
 /// One device's live load in a STATS_PUSH (index in the array = device id).
@@ -235,6 +214,7 @@ struct DeviceLoad {
   std::uint64_t cycles = 0;  ///< device-local clock (simulated)
   std::uint64_t jobs = 0;    ///< jobs completed on this device
   std::uint8_t dead = 0;     ///< 1 while fail-stopped
+  bool operator==(const DeviceLoad&) const = default;
 };
 
 /// One session's live load in a STATS_PUSH.
@@ -245,6 +225,7 @@ struct SessionLoad {
   std::uint64_t windows_delivered = 0;
   std::uint64_t dropped_samples = 0;
   std::uint64_t latency_cycles_total = 0;
+  bool operator==(const SessionLoad&) const = default;
 };
 
 /// v4: server-initiated stats frame. A distinct type from STATS so pushes
@@ -256,6 +237,7 @@ struct StatsPush {
   Stats stats;
   std::vector<DeviceLoad> devices;
   std::vector<SessionLoad> sessions;
+  bool operator==(const StatsPush&) const = default;
 };
 
 // New frame alternatives are appended (after Error) so Frame::index()

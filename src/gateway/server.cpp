@@ -105,11 +105,6 @@ class Server::Connection {
   void send_error(std::uint32_t stream, ErrorCode code,
                   const std::string& message) {
     srv_->note_error_sent();
-    if (obs::metrics_enabled()) {
-      static obs::Counter& errs =
-          obs::Registry::get().counter("gateway.errors_sent");
-      errs.add(1);
-    }
     enqueue(Error{stream, static_cast<std::uint16_t>(code), message});
   }
 
@@ -142,11 +137,6 @@ class Server::Connection {
         srv_->journal_->result(journal_conn_, stream, r.job.output);
       }
       srv_->note_result_sent();
-      if (obs::metrics_enabled()) {
-        static obs::Counter& results =
-            obs::Registry::get().counter("gateway.results_sent");
-        results.add(1);
-      }
     }
   }
 
@@ -173,11 +163,6 @@ class Server::Connection {
             // peer's bytes exactly -- and taps whole frames, never a
             // partial receive chunk.
             srv_->journal_->frame(journal_conn_, srv_->now_ns(), encode(*f));
-          }
-          if (obs::metrics_enabled()) {
-            static obs::Counter& frames =
-                obs::Registry::get().counter("gateway.frames_in");
-            frames.add(1);
           }
           obs::Span sp("gateway.frame", 0,
                        static_cast<std::uint64_t>(frame_type(*f)));
@@ -623,43 +608,17 @@ Server::Telemetry Server::telemetry() const {
   return t;
 }
 
-void fold_fleet(Stats& s, const runtime::FleetStats& fleet) {
-  s.jobs_completed = fleet.jobs_completed;
-  s.jobs_failed = fleet.jobs_failed;
-  s.fleet_makespan = fleet.fleet_makespan;
-  s.total_device_cycles = fleet.total_device_cycles;
-  s.stagings = fleet.stagings;
-  s.total_pj = fleet.total_pj;
-  s.images_hydrated = fleet.image_cache.hydrated;
-  s.traces_hydrated = fleet.trace_cache.hydrated;
-  s.artifact_attached = fleet.artifact_attached ? 1 : 0;
-  s.devices_failed = fleet.devices_failed;
-  s.devices_revived = fleet.devices_revived;
-  s.devices_dead = fleet.devices_dead;
-  s.jobs_rescued = fleet.jobs_rescued;
-  s.checkpoints_restored = fleet.checkpoints_restored;
-  s.traced_launches = fleet.traced_launches;
-  s.traced_rollbacks = fleet.traced_rollbacks;
-  s.replay_decoupled_cycles = fleet.replay_decoupled_cycles;
-  s.replay_lockstep_cycles = fleet.replay_lockstep_cycles;
-  s.replay_interpreted_cycles = fleet.replay_interpreted_cycles;
-  s.replay_sync_points = fleet.replay_sync_points;
-}
-
 Stats Server::build_stats() const {
   return build_stats(stream_.pool().peek_stats());
 }
 
 Stats Server::build_stats(const runtime::FleetStats& fleet) const {
   Stats s;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s.sessions = tel_.sessions;
-    s.connections = tel_.connections;
-  }
-  s.windows_delivered = results_sent_.load(std::memory_order_relaxed);
-  s.devices = stream_.pool().num_devices();
-  fold_fleet(s, fleet);
+  for_each_stat(stream_.pool().num_devices(), telemetry(), fleet,
+                [&s](std::string_view name, MetricKind kind,
+                     std::uint64_t value) {
+                  s.entries.push_back({std::string(name), kind, value});
+                });
   return s;
 }
 

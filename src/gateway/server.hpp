@@ -43,11 +43,6 @@
 
 namespace vwr2a::gateway {
 
-/// The single runtime::FleetStats -> wire-Stats mapping. Both the v3 STATS
-/// reply and the v4 STATS_PUSH scalar block go through it (the
-/// stats-aggregation dedup: the frames can never drift from peek_stats).
-void fold_fleet(Stats& s, const runtime::FleetStats& fleet);
-
 /// The gateway.
 class Server {
  public:
@@ -92,6 +87,19 @@ class Server {
     std::uint64_t results_sent = 0;   ///< WINDOW_RESULT frames enqueued
     std::uint64_t errors_sent = 0;    ///< ERROR frames enqueued
     std::uint64_t rate_limited = 0;   ///< PUSH frames rejected by the bucket
+
+    /// Calls fn(name, kind, value) once per field, under its STATS name.
+    template <class Fn>
+    void for_each_scalar(Fn&& fn) const {
+      using K = MetricKind;
+      fn("connections", K::kCounter, connections);
+      fn("sessions", K::kCounter, sessions);
+      fn("open_streams", K::kGauge, open_streams);
+      fn("frames_in", K::kCounter, frames_in);
+      fn("windows_delivered", K::kCounter, results_sent);
+      fn("errors_sent", K::kCounter, errors_sent);
+      fn("rate_limited", K::kCounter, rate_limited);
+    }
   };
 
   Server() : Server(Config()) {}
@@ -121,11 +129,11 @@ class Server {
 
   Telemetry telemetry() const;
 
-  /// The STATS-frame picture: gateway counters + the pool's non-blocking
-  /// fleet aggregate (runtime::DevicePool::peek_stats).
+  /// The STATS-frame picture: for_each_stat over the gateway counters and
+  /// the pool's non-blocking fleet aggregate (DevicePool::peek_stats).
   Stats build_stats() const;
   /// Same, over an already-fetched fleet snapshot (lets STATS_PUSH build
-  /// the scalar block and the per-device array from one snapshot).
+  /// the entry list and the per-device array from one snapshot).
   Stats build_stats(const runtime::FleetStats& fleet) const;
 
   /// One v4 STATS_PUSH frame: build_stats() + per-device loads + the
@@ -178,5 +186,16 @@ class Server {
   std::atomic<std::uint64_t> errors_sent_{0};
   bool stopping_ = false;
 };
+
+/// The STATS table: every wire metric, named once. Calls fn(name, kind,
+/// value) for `devices`, then each Server::Telemetry field, then each
+/// runtime::FleetStats scalar; values are encoded as StatEntry::value.
+template <class Fn>
+void for_each_stat(std::uint32_t devices, const Server::Telemetry& tel,
+                   const runtime::FleetStats& fleet, Fn&& fn) {
+  fn("devices", MetricKind::kGauge, std::uint64_t{devices});
+  tel.for_each_scalar(fn);
+  fleet.for_each_scalar(fn);
+}
 
 } // namespace vwr2a::gateway

@@ -1,7 +1,11 @@
 #pragma once
 // Typed metrics registry: counters, gauges and log-bucketed histograms
-// behind one enumerable dot-separated namespace ("fleet.jobs_rescued",
-// "session.3.windows_delivered", "gateway.bytes_in", ...). Counters and
+// behind one enumerable dot-separated namespace ("session.latency_cycles",
+// "completer.queue_depth", "gateway.bytes_in", ...). It holds only
+// process-wide figures with no per-instance home: counts that belong to a
+// pool, server or session live in FleetStats, Server::Telemetry or
+// SessionStats and reach operators through the gateway's STATS frame
+// (docs/observability.md). Counters and
 // histograms record through cache-line-aligned per-thread shards (a relaxed
 // fetch_add on the shard picked by obs::thread_slot()) so concurrent
 // recording never contends on one line; reads sum the shards and are exact

@@ -8,7 +8,6 @@
 #include "artifact/store.hpp"
 #include "common/log.hpp"
 #include "common/status.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace vwr2a::runtime {
@@ -238,7 +237,6 @@ unsigned DevicePool::resolve_alive(unsigned d) const {
 
 Cycle DevicePool::estimate_locked(const Job& job) const {
   const Cycle prior = estimate_cost(job);
-  if (!cfg_.online_estimator) return prior;
   const double f = family_factor_[job.work.index()];
   const auto est = static_cast<Cycle>(
       std::llround(static_cast<double>(prior) * f));
@@ -256,7 +254,6 @@ std::array<double, kJobFamilies> DevicePool::family_factors() const {
 }
 
 void DevicePool::fold_estimator_locked() {
-  if (!cfg_.online_estimator) return;
   // EWMA over per-family (measured / prior) ratios, alpha = 1/4. Both sums
   // are integers accumulated per completed job, so the fold is independent
   // of the order completions landed in.
@@ -315,11 +312,6 @@ void DevicePool::begin_kill_locked(unsigned d) {
   }
   obs::instant("fault.kill", 0, d,
                static_cast<std::uint64_t>(ds.failover + 1));
-  if (obs::metrics_enabled()) {
-    static obs::Counter& m =
-        obs::Registry::get().counter("fleet.devices_failed");
-    m.add(1);
-  }
 }
 
 void DevicePool::finish_kill_locked(unsigned d) {
@@ -330,11 +322,6 @@ void DevicePool::finish_kill_locked(unsigned d) {
   if (!blob.empty()) {
     ++ckpt_taken_;
     obs::instant("fault.checkpoint", 0, d, blob.size());
-    if (obs::metrics_enabled()) {
-      static obs::Counter& m =
-          obs::Registry::get().counter("fleet.checkpoints_taken");
-      m.add(1);
-    }
     if (ds.failover >= 0) {
       devices_[static_cast<unsigned>(ds.failover)].pending_restore =
           std::move(blob);
@@ -383,11 +370,6 @@ void DevicePool::finish_kill_locked(unsigned d) {
     ++jobs_rescued_;
     obs::instant("fault.rescue", rescued_trace, d,
                  static_cast<std::uint64_t>(target));
-    if (obs::metrics_enabled()) {
-      static obs::Counter& m =
-          obs::Registry::get().counter("fleet.jobs_rescued");
-      m.add(1);
-    }
     moved = true;
   }
   if (moved) work_cv_.notify_all();
@@ -427,11 +409,6 @@ bool DevicePool::revive_device(unsigned d) {
     ds.failover = -1;
     ++devices_revived_;
     obs::instant("fault.revive", 0, d);
-    if (obs::metrics_enabled()) {
-      static obs::Counter& m =
-          obs::Registry::get().counter("fleet.devices_revived");
-      m.add(1);
-    }
   }
   work_cv_.notify_all();
   return true;
@@ -470,11 +447,6 @@ void DevicePool::check_faults_locked() {
         ds.failover = -1;
         ++devices_revived_;
         obs::instant("fault.revive", 0, t.ev.device);
-        if (obs::metrics_enabled()) {
-          static obs::Counter& m =
-              obs::Registry::get().counter("fleet.devices_revived");
-          m.add(1);
-        }
         work_cv_.notify_all();
       }
     }
@@ -530,38 +502,6 @@ std::vector<JobHandle> DevicePool::submit_batch(std::vector<Job> jobs) {
   return handles;
 }
 
-void DevicePool::cache_device_locked(DeviceState& ds,
-                                     const soc::Platform::Snapshot& snap,
-                                     std::uint64_t jobs,
-                                     std::uint64_t stagings,
-                                     const ReplayStats& replay) {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& m_tl =
-        obs::Registry::get().counter("fleet.replay_traced_launches");
-    static obs::Counter& m_rb =
-        obs::Registry::get().counter("fleet.replay_rollbacks");
-    static obs::Counter& m_dc =
-        obs::Registry::get().counter("fleet.replay_decoupled_cycles");
-    static obs::Counter& m_lc =
-        obs::Registry::get().counter("fleet.replay_lockstep_cycles");
-    static obs::Counter& m_ic =
-        obs::Registry::get().counter("fleet.replay_interpreted_cycles");
-    static obs::Counter& m_sp =
-        obs::Registry::get().counter("fleet.replay_sync_points");
-    const ReplayStats& prev = ds.cached_replay;
-    m_tl.add(replay.traced_launches - prev.traced_launches);
-    m_rb.add(replay.traced_rollbacks - prev.traced_rollbacks);
-    m_dc.add(replay.decoupled_cycles - prev.decoupled_cycles);
-    m_lc.add(replay.lockstep_cycles - prev.lockstep_cycles);
-    m_ic.add(replay.interpreted_cycles - prev.interpreted_cycles);
-    m_sp.add(replay.sync_points - prev.sync_points);
-  }
-  ds.cached_snapshot = snap;
-  ds.cached_jobs = jobs;
-  ds.cached_stagings = stagings;
-  ds.cached_replay = replay;
-}
-
 void DevicePool::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
@@ -596,11 +536,6 @@ void DevicePool::worker_loop() {
       restored = oc == Device::RestoreOutcome::kApplied;
       obs::instant("fault.restore", 0, static_cast<std::uint64_t>(d),
                    restored ? 1 : 0);
-      if (restored && obs::metrics_enabled()) {
-        static obs::Counter& m =
-            obs::Registry::get().counter("fleet.checkpoints_restored");
-        m.add(1);
-      }
       if (oc == Device::RestoreOutcome::kRejected) {
         log::Line(log::Level::kWarn)
             << "pool: checkpoint rejected on device "
@@ -651,15 +586,6 @@ void DevicePool::worker_loop() {
       }
     }
 
-    if (obs::metrics_enabled()) {
-      static obs::Counter& m_done =
-          obs::Registry::get().counter("fleet.jobs_completed");
-      static obs::Counter& m_fail =
-          obs::Registry::get().counter("fleet.jobs_failed");
-      if (ok != 0) m_done.add(ok);
-      if (bad != 0) m_fail.add(bad);
-    }
-
     // Refresh the device's telemetry cache while nothing else can be
     // driving it (our claim is still held until the lock below).
     const soc::Platform::Snapshot snap = ds.device->snapshot();
@@ -672,7 +598,10 @@ void DevicePool::worker_loop() {
       pend_measured_[f] += meas[f];
       pend_prior_[f] += prior[f];
     }
-    cache_device_locked(ds, snap, dev_jobs, dev_stagings, dev_replay);
+    ds.cached_snapshot = snap;
+    ds.cached_jobs = dev_jobs;
+    ds.cached_stagings = dev_stagings;
+    ds.cached_replay = dev_replay;
     ds.claimed = false;
     completed_ += ok;
     failed_ += bad;

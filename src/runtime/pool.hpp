@@ -16,6 +16,11 @@
 //     everything already placed (plus stream-session reservations via
 //     place_load), so the policy is load- and heterogeneity-aware, yet
 //     still a pure function of the submission order.
+// The per-job estimates are an analytic per-family prior scaled by an
+// online EWMA correction factor learned from measured job costs. Updates
+// fold in only at fleet-quiescent points (wait_idle/stats), from
+// order-independent integer sums, so placement stays a pure function of
+// the submission order and the barrier history -- never of worker timing.
 // An explicit `pin` (pin_to_device) overrides either policy and forces the
 // job onto that device (its estimate still counts toward the device's
 // clock). Each device keeps a FIFO of its pending jobs and is driven by at
@@ -44,6 +49,7 @@
 // assembles each kernel once fleet-wide.
 
 #include <array>
+#include <bit>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -153,6 +159,49 @@ struct FleetStats {
   /// Always 0; kept only for perfbench's per-layer lines.
   std::uint64_t jobs_batched = 0;
 
+  /// Calls fn(name, kind, value) once per scalar field, under the name
+  /// the gateway's STATS frame carries it by -- the one list of the
+  /// fleet's wire metrics. value is a std::uint64_t; the kReal field
+  /// (total_pj) passes its f64 bit pattern. The per-device vectors,
+  /// family_factor and the three always-0 batch fields are not on it.
+  template <class Fn>
+  void for_each_scalar(Fn&& fn) const {
+    using K = MetricKind;
+    fn("jobs_completed", K::kCounter, jobs_completed);
+    fn("jobs_failed", K::kCounter, jobs_failed);
+    fn("fleet_makespan", K::kCounter, fleet_makespan);
+    fn("total_device_cycles", K::kCounter, total_device_cycles);
+    fn("stagings", K::kCounter, stagings);
+    fn("total_pj", K::kReal, std::bit_cast<std::uint64_t>(total_pj));
+    fn("image_cache_hits", K::kCounter, image_cache.hits);
+    fn("image_cache_misses", K::kCounter, image_cache.misses);
+    fn("image_cache_entries", K::kGauge,
+       static_cast<std::uint64_t>(image_cache.entries));
+    fn("image_cache_builds", K::kCounter, image_cache.builds);
+    fn("images_hydrated", K::kCounter, image_cache.hydrated);
+    fn("trace_cache_hits", K::kCounter, trace_cache.hits);
+    fn("traces_compiled", K::kCounter, trace_cache.compiled);
+    fn("traces_bailed", K::kCounter, trace_cache.bailed);
+    fn("traces_hydrated", K::kCounter, trace_cache.hydrated);
+    fn("artifact_attached", K::kGauge, std::uint64_t{artifact_attached});
+    fn("artifact_images", K::kCounter, artifact_images);
+    fn("artifact_traces", K::kCounter, artifact_traces);
+    fn("artifact_misses", K::kCounter, artifact_misses);
+    fn("artifact_rejects", K::kCounter, artifact_rejects);
+    fn("devices_failed", K::kCounter, devices_failed);
+    fn("devices_revived", K::kCounter, devices_revived);
+    fn("devices_dead", K::kGauge, devices_dead);
+    fn("jobs_rescued", K::kCounter, jobs_rescued);
+    fn("checkpoints_taken", K::kCounter, checkpoints_taken);
+    fn("checkpoints_restored", K::kCounter, checkpoints_restored);
+    fn("traced_launches", K::kCounter, traced_launches);
+    fn("traced_rollbacks", K::kCounter, traced_rollbacks);
+    fn("replay_decoupled_cycles", K::kCounter, replay_decoupled_cycles);
+    fn("replay_lockstep_cycles", K::kCounter, replay_lockstep_cycles);
+    fn("replay_interpreted_cycles", K::kCounter, replay_interpreted_cycles);
+    fn("replay_sync_points", K::kCounter, replay_sync_points);
+  }
+
   double total_uj() const { return total_pj * 1e-6; }
   double sim_seconds() const {
     return static_cast<double>(fleet_makespan) / arch::kClockHz;
@@ -177,13 +226,6 @@ class DevicePool {
     std::vector<soc::ArchConfig> device_arch;
     /// Placement policy for unpinned jobs.
     Schedule schedule = Schedule::kRoundRobin;
-    /// Online per-family EWMA cost estimator: measured job costs refine the
-    /// analytic prior the shortest-local-clock policy plans with. Updates
-    /// fold in only at fleet-quiescent points (wait_idle/stats), from
-    /// order-independent integer sums, so placement stays a pure function
-    /// of the submission order and the barrier history -- never of worker
-    /// timing. Off: the hand-calibrated priors are used as-is.
-    bool online_estimator = true;
     /// Per-device feature switches (SPM residency tracking, cross-job
     /// staging dedup); on by default, off reproduces the PR-2 baseline.
     Device::Options device_opts;
@@ -327,13 +369,6 @@ class DevicePool {
   };
 
   void worker_loop();
-  /// Refreshes one device's batch-boundary telemetry cache and bumps the
-  /// fleet replay obs:: counters by the delta since the previous cache.
-  /// Caller holds mu_ and still owns the device's claim.
-  static void cache_device_locked(DeviceState& ds,
-                                  const soc::Platform::Snapshot& snap,
-                                  std::uint64_t jobs, std::uint64_t stagings,
-                                  const ReplayStats& replay);
   /// Index of a serviceable device (unclaimed, non-empty queue), or -1.
   int find_work() const;
   /// Throws unless the job's pin (if any) names a device of the fleet.

@@ -8,6 +8,7 @@
 
 #include "common/status.hpp"
 #include "dsp/signal.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "stream/completer.hpp"
 
@@ -51,10 +52,6 @@ Session::Session(std::uint64_t id, runtime::DevicePool& pool, unsigned device,
       win_(cfg_.window, cfg_.hop, cfg_.buffer_capacity) {
   stats_.id = id_;
   stats_.device = device_;
-  if (obs::metrics_enabled()) {
-    m_delivered_ = &obs::Registry::get().counter(
-        "session." + std::to_string(id_) + ".windows_delivered");
-  }
 }
 
 runtime::Job Session::window_job(const SessionConfig& cfg) {
@@ -144,13 +141,9 @@ void Session::account_delivery_locked(const runtime::JobResult& job) {
   stats_.device = job.device;
   ++stats_.windows_delivered;
   if (obs::metrics_enabled()) {
-    static obs::Counter& delivered =
-        obs::Registry::get().counter("session.windows_delivered");
-    delivered.add(1);
     static obs::Histogram& latency =
         obs::Registry::get().histogram("session.latency_cycles");
     latency.record(lat);
-    if (m_delivered_ != nullptr) m_delivered_->add(1);
   }
 }
 
@@ -259,10 +252,6 @@ bool Session::pump(bool may_block) {
 
 void Session::push(std::span<const std::int32_t> samples) {
   obs::Span sp("session.push", 0, id_, samples.size());
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::Registry::get().counter("session.samples_in");
-    c.add(samples.size());
-  }
   std::size_t off = 0;
   while (off < samples.size()) {
     reap_ready();
@@ -285,19 +274,10 @@ bool Session::try_push(std::span<const std::int32_t> samples) {
   reap_ready();
   pump(/*may_block=*/false);
   if (win_.free_space() < samples.size()) {
-    if (obs::metrics_enabled()) {
-      static obs::Counter& c =
-          obs::Registry::get().counter("session.dropped_samples");
-      c.add(samples.size());
-    }
     std::lock_guard<std::mutex> lock(smu_);
     stats_.dropped_samples += samples.size();
     ++stats_.dropped_pushes;
     return false;
-  }
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::Registry::get().counter("session.samples_in");
-    c.add(samples.size());
   }
   win_.push(samples);
   {

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "app/mbiotracker.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/pool.hpp"
 #include "stream/stats.hpp"
 #include "stream/windower.hpp"
@@ -181,9 +180,6 @@ class Session {
   std::condition_variable slot_cv_;   ///< in-flight slot freed / drained
   std::size_t inflight_n_ = 0;        ///< completion-lane in-flight count
   std::uint64_t next_delivery_ = 0;   ///< lane-side window index counter
-  /// Per-session delivered-window counter ("session.<id>.windows_delivered"),
-  /// bound at construction iff metrics were enabled then; observability only.
-  obs::Counter* m_delivered_ = nullptr;
   std::string first_error_;           ///< first job failure (lane mode)
   bool error_pending_ = false;        ///< first_error_ not yet rethrown
   SessionStats stats_;

@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -359,14 +363,70 @@ TEST(Gateway, StatsFrameReportsFleetAndGatewayCounters) {
   server.streams().pool().wait_idle();
 
   const Stats st = client.stats();
-  EXPECT_EQ(st.devices, 3u);
-  EXPECT_EQ(st.connections, 1u);
-  EXPECT_EQ(st.sessions, 1u);
-  EXPECT_EQ(st.windows_delivered, 2u);
-  EXPECT_GE(st.jobs_completed, 2u);
-  EXPECT_EQ(st.jobs_failed, 0u);
-  EXPECT_GT(st.fleet_makespan, 0u);
-  EXPECT_GT(st.total_pj, 0.0);
+  EXPECT_EQ(st.at("devices").value, 3u);
+  EXPECT_EQ(st.at("connections").value, 1u);
+  EXPECT_EQ(st.at("sessions").value, 1u);
+  EXPECT_EQ(st.at("windows_delivered").value, 2u);
+  EXPECT_GE(st.at("jobs_completed").value, 2u);
+  EXPECT_EQ(st.at("jobs_failed").value, 0u);
+  EXPECT_GT(st.at("fleet_makespan").value, 0u);
+  EXPECT_GT(st.at("total_pj").real(), 0.0);
+  server.stop();
+}
+
+TEST(Gateway, StatsTableNamesEachMetricOnceAndMatchesItsSource) {
+  // Walk the STATS table (for_each_stat) against a quiescent server: each
+  // line must appear exactly once in a STATS reply and in a STATS_PUSH,
+  // with the kind and value its source -- the pool's stats() or the
+  // server's telemetry() -- holds, and the frames carry nothing else.
+  Server::Config cfg;
+  cfg.stream.pool.devices = 2;
+  Server server(cfg);
+  Client client(server.connect_loopback());
+  const std::uint32_t sid = client.open(Client::StreamOpts{}, nullptr);
+  client.push(sid, make_stream_samples(2 * app::kWindow, 0.25, 7400));
+  client.flush(sid);
+  client.close_stream(sid);
+  runtime::DevicePool& pool = server.streams().pool();
+  pool.wait_idle();
+
+  auto check = [&](const Stats& st) {
+    std::size_t lines = 0;
+    for_each_stat(
+        pool.num_devices(), server.telemetry(), pool.stats(),
+        [&](std::string_view name, MetricKind kind, std::uint64_t value) {
+          ++lines;
+          const auto named = std::count_if(
+              st.entries.begin(), st.entries.end(),
+              [name](const StatEntry& e) { return e.name == name; });
+          ASSERT_EQ(named, 1) << name;
+          EXPECT_EQ(st.at(name).kind, kind) << name;
+          EXPECT_EQ(st.at(name).value, value) << name;
+        });
+    EXPECT_EQ(st.entries.size(), lines);
+    EXPECT_GT(st.at("jobs_completed").value, 0u);  // the walk saw real work
+  };
+  {
+    SCOPED_TRACE("STATS");
+    check(client.stats());
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  std::optional<StatsPush> first;
+  // A long cadence: the immediate first push is the only one in the test.
+  client.subscribe_stats(60000, [&](const StatsPush& p) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!first) first = p;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&first] { return first.has_value(); }));
+    SCOPED_TRACE("STATS_PUSH");
+    check(first->stats);
+  }
+  client.unsubscribe_stats();
   server.stop();
 }
 
@@ -493,50 +553,6 @@ TEST(Gateway, MatchesDirectStreamServerBitForBit) {
   }
 }
 
-TEST(Gateway, ProtocolV3StatsRoundTripsFaultFields) {
-  // The v3 STATS payload grew five fault-and-recovery counters; the
-  // encoder/decoder pair must keep carrying them bit-exactly in every
-  // later protocol version.
-  ASSERT_GE(kProtocolVersion, 3u);
-
-  Stats st;
-  st.devices = 16;
-  st.sessions = 3;
-  st.connections = 2;
-  st.windows_delivered = 40;
-  st.jobs_completed = 41;
-  st.jobs_failed = 1;
-  st.fleet_makespan = 123456;
-  st.total_device_cycles = 654321;
-  st.stagings = 7;
-  st.total_pj = 3.25;
-  st.images_hydrated = 4;
-  st.traces_hydrated = 9;
-  st.artifact_attached = 1;
-  st.devices_failed = 2;
-  st.devices_revived = 1;
-  st.devices_dead = 1;
-  st.jobs_rescued = 6;
-  st.checkpoints_restored = 5;
-
-  const auto bytes = encode(Frame{st});
-  Decoder dec;
-  dec.feed(bytes.data(), bytes.size());
-  auto f = dec.next();
-  ASSERT_TRUE(f.has_value());
-  const auto* got = std::get_if<Stats>(&*f);
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->devices, st.devices);
-  EXPECT_EQ(got->jobs_completed, st.jobs_completed);
-  EXPECT_EQ(got->artifact_attached, st.artifact_attached);
-  EXPECT_EQ(got->devices_failed, st.devices_failed);
-  EXPECT_EQ(got->devices_revived, st.devices_revived);
-  EXPECT_EQ(got->devices_dead, st.devices_dead);
-  EXPECT_EQ(got->jobs_rescued, st.jobs_rescued);
-  EXPECT_EQ(got->checkpoints_restored, st.checkpoints_restored);
-  EXPECT_FALSE(dec.next().has_value());
-}
-
 TEST(Gateway, StatsReportsDeviceFaultsOverTheWire) {
   Server::Config cfg;
   cfg.stream.pool.devices = 3;
@@ -555,15 +571,15 @@ TEST(Gateway, StatsReportsDeviceFaultsOverTheWire) {
   const std::uint32_t victim = (client.device_of(sid) + 1) % 3;
   ASSERT_TRUE(server.streams().pool().kill_device(victim));
   Stats st = client.stats();
-  EXPECT_EQ(st.devices_failed, 1u);
-  EXPECT_EQ(st.devices_dead, 1u);
-  EXPECT_EQ(st.devices_revived, 0u);
+  EXPECT_EQ(st.at("devices_failed").value, 1u);
+  EXPECT_EQ(st.at("devices_dead").value, 1u);
+  EXPECT_EQ(st.at("devices_revived").value, 0u);
 
   ASSERT_TRUE(server.streams().pool().revive_device(victim));
   st = client.stats();
-  EXPECT_EQ(st.devices_failed, 1u);
-  EXPECT_EQ(st.devices_dead, 0u);
-  EXPECT_EQ(st.devices_revived, 1u);
+  EXPECT_EQ(st.at("devices_failed").value, 1u);
+  EXPECT_EQ(st.at("devices_dead").value, 0u);
+  EXPECT_EQ(st.at("devices_revived").value, 1u);
   server.stop();
 }
 
@@ -671,7 +687,7 @@ TEST(Gateway, StatsSubscribeDeliversPushesWithoutPolling) {
         EXPECT_EQ(pushes[i].seq, pushes[i - 1].seq + 1);
       }
       EXPECT_EQ(pushes[i].devices.size(), 2u);
-      EXPECT_EQ(pushes[i].stats.devices, 2u);
+      EXPECT_EQ(pushes[i].stats.at("devices").value, 2u);
     }
     // The stream above ran one window; the newest push must know it.
     const StatsPush& last = pushes.back();
@@ -681,7 +697,7 @@ TEST(Gateway, StatsSubscribeDeliversPushesWithoutPolling) {
     EXPECT_GT(last.sessions[0].latency_cycles_total, 0u);
     std::uint64_t dev_jobs = 0;
     for (const auto& d : last.devices) dev_jobs += d.jobs;
-    EXPECT_EQ(dev_jobs, last.stats.jobs_completed);
+    EXPECT_EQ(dev_jobs, last.stats.at("jobs_completed").value);
   }
   client.close_stream(sid);
   client.close();

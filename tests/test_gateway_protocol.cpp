@@ -6,14 +6,64 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "gateway/protocol.hpp"
 
+// The largest single heap allocation since the last reset: the hostile-input
+// tests below prove that a lying count is rejected before it reaches the
+// allocator.
+namespace {
+std::atomic<std::size_t> g_largest_alloc{0};
+}  // namespace
+
+// All three stay out of line: inlined, GCC sees the malloc and free behind
+// new and delete and warns of a mismatch (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
+  while (n > seen &&
+         !g_largest_alloc.compare_exchange_weak(seen, n,
+                                                std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace vwr2a::gateway {
 namespace {
+
+/// A STATS frame (header + `payload`), bypassing the encoder.
+std::vector<std::uint8_t> stats_frame(
+    const std::vector<std::uint8_t>& payload) {
+  const auto len = static_cast<std::uint32_t>(payload.size() + 2);
+  std::vector<std::uint8_t> wire;
+  for (int i = 0; i < 4; ++i) {
+    wire.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+  }
+  wire.push_back(kProtocolVersion);
+  wire.push_back(static_cast<std::uint8_t>(FrameType::kStats));
+  wire.insert(wire.end(), payload.begin(), payload.end());
+  return wire;
+}
+
+/// Decodes `wire` expecting ProtocolError; returns the largest allocation
+/// made on the way.
+std::size_t largest_alloc_rejecting(const std::vector<std::uint8_t>& wire) {
+  Decoder dec;
+  dec.feed(wire);
+  g_largest_alloc.store(0);
+  EXPECT_THROW(dec.next(), ProtocolError);
+  return g_largest_alloc.load();
+}
 
 std::vector<std::int32_t> random_samples(Rng& rng, unsigned max_len) {
   std::vector<std::int32_t> v(rng.next_below(max_len + 1));
@@ -31,32 +81,16 @@ std::string random_string(Rng& rng, unsigned max_len) {
   return s;
 }
 
+/// 0-40 entries with random names (any bytes), kinds and values; a kReal
+/// value is a random bit pattern, NaNs included.
 Stats random_stats(Rng& rng) {
   Stats f;
-  f.devices = rng.next_u32();
-  f.sessions = rng.next_u64();
-  f.connections = rng.next_u64();
-  f.windows_delivered = rng.next_u64();
-  f.jobs_completed = rng.next_u64();
-  f.jobs_failed = rng.next_u64();
-  f.fleet_makespan = rng.next_u64();
-  f.total_device_cycles = rng.next_u64();
-  f.stagings = rng.next_u64();
-  f.total_pj = rng.next_range(0.0, 1e12);
-  f.images_hydrated = rng.next_u64();
-  f.traces_hydrated = rng.next_u64();
-  f.artifact_attached = static_cast<std::uint8_t>(rng.next_below(2));
-  f.devices_failed = rng.next_u64();
-  f.devices_revived = rng.next_u64();
-  f.devices_dead = rng.next_u64();
-  f.jobs_rescued = rng.next_u64();
-  f.checkpoints_restored = rng.next_u64();
-  f.traced_launches = rng.next_u64();
-  f.traced_rollbacks = rng.next_u64();
-  f.replay_decoupled_cycles = rng.next_u64();
-  f.replay_lockstep_cycles = rng.next_u64();
-  f.replay_interpreted_cycles = rng.next_u64();
-  f.replay_sync_points = rng.next_u64();
+  f.entries.resize(rng.next_below(41));
+  for (StatEntry& e : f.entries) {
+    e.name = random_string(rng, 30);
+    e.kind = static_cast<MetricKind>(rng.next_below(3));
+    e.value = rng.next_u64();
+  }
   return f;
 }
 
@@ -155,107 +189,6 @@ Frame random_frame(Rng& rng, unsigned i) {
   }
 }
 
-bool stats_equal(const Stats& x, const Stats& y) {
-  return x.devices == y.devices && x.sessions == y.sessions &&
-         x.connections == y.connections &&
-         x.windows_delivered == y.windows_delivered &&
-         x.jobs_completed == y.jobs_completed &&
-         x.jobs_failed == y.jobs_failed &&
-         x.fleet_makespan == y.fleet_makespan &&
-         x.total_device_cycles == y.total_device_cycles &&
-         x.stagings == y.stagings && x.total_pj == y.total_pj &&
-         x.images_hydrated == y.images_hydrated &&
-         x.traces_hydrated == y.traces_hydrated &&
-         x.artifact_attached == y.artifact_attached &&
-         x.devices_failed == y.devices_failed &&
-         x.devices_revived == y.devices_revived &&
-         x.devices_dead == y.devices_dead && x.jobs_rescued == y.jobs_rescued &&
-         x.checkpoints_restored == y.checkpoints_restored &&
-         x.traced_launches == y.traced_launches &&
-         x.traced_rollbacks == y.traced_rollbacks &&
-         x.replay_decoupled_cycles == y.replay_decoupled_cycles &&
-         x.replay_lockstep_cycles == y.replay_lockstep_cycles &&
-         x.replay_interpreted_cycles == y.replay_interpreted_cycles &&
-         x.replay_sync_points == y.replay_sync_points;
-}
-
-bool frames_equal(const Frame& a, const Frame& b) {
-  if (a.index() != b.index()) return false;
-  bool eq = false;
-  std::visit(
-      [&](const auto& x) {
-        using T = std::decay_t<decltype(x)>;
-        const auto& y = std::get<T>(b);
-        if constexpr (std::is_same_v<T, OpenSession>) {
-          eq = x.stream == y.stream && x.tenant == y.tenant &&
-               x.kind == y.kind && x.target == y.target &&
-               x.lossy == y.lossy && x.window == y.window && x.hop == y.hop &&
-               x.max_inflight == y.max_inflight &&
-               x.buffer_capacity == y.buffer_capacity;
-        } else if constexpr (std::is_same_v<T, PushSamples>) {
-          eq = x.stream == y.stream && x.samples == y.samples;
-        } else if constexpr (std::is_same_v<T, Flush>) {
-          eq = x.stream == y.stream;
-        } else if constexpr (std::is_same_v<T, Close>) {
-          eq = x.stream == y.stream;
-        } else if constexpr (std::is_same_v<T, StatsRequest>) {
-          eq = true;
-        } else if constexpr (std::is_same_v<T, OpenOk>) {
-          eq = x.stream == y.stream && x.session == y.session &&
-               x.device == y.device;
-        } else if constexpr (std::is_same_v<T, WindowResult>) {
-          eq = x.stream == y.stream && x.index == y.index &&
-               x.device == y.device && x.cycles == y.cycles && x.pj == y.pj &&
-               x.output == y.output && x.queue_ns == y.queue_ns &&
-               x.run_ns == y.run_ns && x.deliver_ns == y.deliver_ns &&
-               x.place_cycles == y.place_cycles && x.sim_begin == y.sim_begin;
-        } else if constexpr (std::is_same_v<T, FlushOk>) {
-          eq = x.stream == y.stream &&
-               x.windows_delivered == y.windows_delivered;
-        } else if constexpr (std::is_same_v<T, CloseOk>) {
-          eq = x.stream == y.stream &&
-               x.windows_submitted == y.windows_submitted &&
-               x.windows_delivered == y.windows_delivered &&
-               x.windows_failed == y.windows_failed &&
-               x.samples_in == y.samples_in &&
-               x.dropped_samples == y.dropped_samples &&
-               x.dropped_pushes == y.dropped_pushes &&
-               x.latency_cycles_total == y.latency_cycles_total &&
-               x.latency_cycles_max == y.latency_cycles_max;
-        } else if constexpr (std::is_same_v<T, Stats>) {
-          eq = stats_equal(x, y);
-        } else if constexpr (std::is_same_v<T, StatsSubscribe>) {
-          eq = x.cadence_ms == y.cadence_ms && x.enable == y.enable;
-        } else if constexpr (std::is_same_v<T, StatsPush>) {
-          eq = x.seq == y.seq && stats_equal(x.stats, y.stats) &&
-               x.devices.size() == y.devices.size() &&
-               x.sessions.size() == y.sessions.size();
-          for (std::size_t j = 0; eq && j < x.devices.size(); ++j) {
-            eq = x.devices[j].cycles == y.devices[j].cycles &&
-                 x.devices[j].jobs == y.devices[j].jobs &&
-                 x.devices[j].dead == y.devices[j].dead;
-          }
-          for (std::size_t j = 0; eq && j < x.sessions.size(); ++j) {
-            eq = x.sessions[j].id == y.sessions[j].id &&
-                 x.sessions[j].device == y.sessions[j].device &&
-                 x.sessions[j].windows_submitted ==
-                     y.sessions[j].windows_submitted &&
-                 x.sessions[j].windows_delivered ==
-                     y.sessions[j].windows_delivered &&
-                 x.sessions[j].dropped_samples ==
-                     y.sessions[j].dropped_samples &&
-                 x.sessions[j].latency_cycles_total ==
-                     y.sessions[j].latency_cycles_total;
-          }
-        } else {  // Error
-          eq = x.stream == y.stream && x.code == y.code &&
-               x.message == y.message;
-        }
-      },
-      a);
-  return eq;
-}
-
 TEST(GatewayProtocol, RoundTripsEveryFrameType) {
   Rng rng(11001);
   for (unsigned i = 0; i < 220; ++i) {
@@ -264,7 +197,10 @@ TEST(GatewayProtocol, RoundTripsEveryFrameType) {
     dec.feed(encode(want));
     const auto got = dec.next();
     ASSERT_TRUE(got.has_value()) << "frame " << i;
-    EXPECT_TRUE(frames_equal(want, *got)) << "frame " << i;
+    EXPECT_TRUE(want == *got) << "frame " << i;
+    // Canonical encoding: the journal re-encodes decoded frames and relies
+    // on getting the peer's bytes back.
+    EXPECT_EQ(encode(*got), encode(want)) << "frame " << i;
     EXPECT_EQ(dec.buffered(), 0u) << "frame " << i;
     EXPECT_FALSE(dec.next().has_value());
   }
@@ -291,7 +227,7 @@ TEST(GatewayProtocol, DecodesByteAtATimeAndInBursts) {
     }
     ASSERT_EQ(got.size(), want.size()) << "chunk " << chunk;
     for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_TRUE(frames_equal(want[i], got[i]))
+      EXPECT_TRUE(want[i] == got[i])
           << "chunk " << chunk << " frame " << i;
     }
   }
@@ -406,7 +342,8 @@ TEST(GatewayProtocol, TruncatedStatsPushThrowsNotCrash) {
   // throw before allocating either load array.
   StatsPush push;
   push.seq = 7;
-  push.stats.devices = 4;
+  push.stats.entries = {{"devices", MetricKind::kGauge, 4},
+                        {"total_pj", MetricKind::kReal, 0x4010000000000000}};
   push.devices.resize(3);
   push.sessions.resize(2);
   const std::vector<std::uint8_t> full = encode(push);
@@ -422,6 +359,42 @@ TEST(GatewayProtocol, TruncatedStatsPushThrowsNotCrash) {
     Decoder dec;
     dec.feed(wire);
     EXPECT_THROW(dec.next(), ProtocolError) << "keep " << keep;
+  }
+}
+
+TEST(GatewayProtocol, StatsEntryCountBeyondThePayloadIsRejected) {
+  // count = 0xffffffff in a 10-byte payload: rejected by the
+  // count-vs-remaining check, before reserve() sees the count.
+  const std::size_t largest = largest_alloc_rejecting(
+      stats_frame({0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5, 6}));
+  EXPECT_LT(largest, 1024u);
+}
+
+TEST(GatewayProtocol, StatsEntryWithUnknownKindIsRejected) {
+  Stats st;
+  st.entries = {{"jobs_completed", MetricKind::kCounter, 5}};
+  std::vector<std::uint8_t> wire = encode(st);
+  // Header 6 + count 4 + name length 4 + 14 name bytes: the kind byte.
+  const std::size_t kind_at = 6 + 4 + 4 + st.entries[0].name.size();
+  ASSERT_EQ(wire[kind_at], 0u);
+  wire[kind_at] = 3;
+  EXPECT_LT(largest_alloc_rejecting(wire), 1024u);
+}
+
+TEST(GatewayProtocol, StatsTruncatedInsideAnEntryIsRejected) {
+  // Cut a three-entry STATS at every byte: each cut lands inside the count
+  // or inside an entry and must throw without allocating for entries the
+  // payload cannot hold.
+  Stats st;
+  st.entries = {{"devices", MetricKind::kGauge, 4},
+                {"total_pj", MetricKind::kReal, 0x400921fb54442d18},
+                {"jobs_completed", MetricKind::kCounter, 99}};
+  const std::vector<std::uint8_t> full = encode(st);
+  const std::vector<std::uint8_t> payload(full.begin() + 6, full.end());
+  for (std::size_t keep = 0; keep < payload.size(); ++keep) {
+    const std::size_t largest = largest_alloc_rejecting(stats_frame(
+        {payload.begin(), payload.begin() + static_cast<long>(keep)}));
+    EXPECT_LT(largest, 1024u) << "keep " << keep;
   }
 }
 

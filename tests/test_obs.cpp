@@ -102,18 +102,18 @@ TEST(ObsMetrics, HistogramBucketBoundsArePerBucketInvariants) {
 
 TEST(ObsMetrics, PrometheusDumpSanitizesAndSummarizes) {
   ObsScope scope(true, false);
-  Registry::get().counter("session.3.windows_delivered").add(7);
+  Registry::get().counter("test.3.windows").add(7);
   Registry::get().gauge("completer.queue_depth").set(-2);
   Histogram& h = Registry::get().histogram("session.latency_cycles");
   h.record(100);
   h.record(200);
   const std::string dump = Registry::get().dump_prometheus();
-  EXPECT_NE(dump.find("session_3_windows_delivered 7"), std::string::npos);
+  EXPECT_NE(dump.find("test_3_windows 7"), std::string::npos);
   EXPECT_NE(dump.find("completer_queue_depth -2"), std::string::npos);
   EXPECT_NE(dump.find("session_latency_cycles_count 2"), std::string::npos);
   EXPECT_NE(dump.find("session_latency_cycles_sum 300"), std::string::npos);
   EXPECT_NE(dump.find("quantile=\"0.5\""), std::string::npos);
-  EXPECT_EQ(dump.find("session.3"), std::string::npos);  // dots sanitized
+  EXPECT_EQ(dump.find("test.3"), std::string::npos);  // dots sanitized
 }
 
 TEST(ObsMetrics, HistogramQuantileEdgeCases) {
@@ -223,6 +223,32 @@ TEST(ObsMetrics, DisabledModeRecordsNothingThroughTheSitePattern) {
     instant("test.instant", 42);
   }
   EXPECT_EQ(Tracer::get().snapshot().events.size(), before);
+}
+
+TEST(ObsMetrics, RegistryDoesNotGrowWithSessionCount) {
+  // Per-session counts live in SessionStats; the registry holds only
+  // process-wide metrics, so 200 sessions (each delivering a window) must
+  // register nothing beyond what the first few did.
+  ObsScope scope(true, false);
+  stream::StreamServer::Config cfg;
+  cfg.pool.device_arch = {
+      soc::ArchConfig{.exec_mode = cgra::ExecMode::kTraceCache}};
+  stream::StreamServer server(cfg);
+  dsp::RespirationParams p;
+  Rng rng(7200);
+  const auto window = dsp::respiration_q16_15(app::kWindow, p, rng);
+  auto run_sessions = [&server, &window](unsigned n) {
+    for (unsigned i = 0; i < n; ++i) {
+      stream::Session& s = server.open_session();
+      s.push(window);
+      s.finish();
+    }
+  };
+  run_sessions(2);
+  const std::size_t warm = Registry::get().entries().size();
+  EXPECT_GT(warm, 0u);  // the delivery path did record
+  run_sessions(200);
+  EXPECT_EQ(Registry::get().entries().size(), warm);
 }
 
 TEST(ObsTrace, RingOverflowKeepsNewestAndCountsDropsExactly) {

@@ -407,15 +407,6 @@ TEST(RuntimeSchedule, OnlineEstimatorLearnsMeasuredCosts) {
   const double err_learned =
       std::abs(static_cast<double>(pool.estimate(probe)) - mean);
   EXPECT_LT(err_learned, err_prior);
-
-  // Off switch: the analytic prior is used unchanged.
-  DevicePool::Config off_cfg;
-  off_cfg.online_estimator = false;
-  DevicePool off(off_cfg);
-  off.submit(fir_job()).get();
-  off.wait_idle();
-  EXPECT_EQ(off.family_factors()[fam], 1.0);
-  EXPECT_EQ(off.estimate(probe), prior);
 }
 
 /// Estimator folds must not break placement determinism: the same two-batch
